@@ -254,9 +254,10 @@ class Server {
   /// Drops catalog entries of retired base generations nobody reads
   /// anymore. Caller holds ingest_mu_ exclusively.
   void SweepRetiredLocked();
-  /// Applies one validated batch: copy-on-append ingest, cache maintenance,
-  /// snapshot swap. Shared by AppendBatch (after the WAL append) and
-  /// recovery replay, so a replayed batch takes exactly the live code path.
+  /// Applies one validated batch: append (storage/ingest.h), cache
+  /// maintenance, snapshot swap. Shared by AppendBatch (after the WAL
+  /// append) and recovery replay, so a replayed batch takes exactly the live
+  /// code path.
   /// Caller holds ingest_mu_ exclusively (or is the single-threaded ctor).
   Status ApplyBatchLocked(const std::vector<std::vector<Value>>& rows,
                           IngestResult* out);

@@ -37,7 +37,8 @@ std::string SigFor(const std::vector<AggRequest>& aggs) {
 // still lines up.
 Result<TablePtr> ConcatParts(const Table& old_part, const Table& delta_part,
                              const std::string& name) {
-  TableBuilder builder(delta_part.schema());
+  std::vector<ColumnPtr> columns;
+  columns.reserve(static_cast<size_t>(delta_part.schema().num_columns()));
   for (int c = 0; c < delta_part.schema().num_columns(); ++c) {
     const ColumnDef& def = delta_part.schema().column(c);
     const int old_ord = old_part.schema().FindColumn(def.name);
@@ -49,12 +50,11 @@ Result<TablePtr> ConcatParts(const Table& old_part, const Table& delta_part,
       return Status::Internal("cached aggregate " + old_part.name() +
                               " column '" + def.name + "' changed type");
     }
-    Column* out = builder.column(c);
-    out->Reserve(old_part.num_rows() + delta_part.num_rows());
-    out->AppendRangeFrom(old_part.column(old_ord), 0, old_part.num_rows());
-    out->AppendRangeFrom(delta_part.column(c), 0, delta_part.num_rows());
+    columns.push_back(
+        Column::Concat(old_part.column(old_ord), delta_part.column(c)));
   }
-  return builder.Build(name);
+  return std::make_shared<Table>(name, delta_part.schema(), std::move(columns),
+                                 old_part.num_rows() + delta_part.num_rows());
 }
 
 }  // namespace

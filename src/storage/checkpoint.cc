@@ -63,6 +63,16 @@ struct Cursor {
     pos += sizeof(T);
     return true;
   }
+  /// Reads `count` packed values into *out; memcpy because the image gives
+  /// no alignment guarantee.
+  template <typename T>
+  bool GetArray(uint64_t count, std::vector<T>* out) {
+    if (count > (size - pos) / sizeof(T)) return false;
+    out->resize(count);
+    if (count > 0) std::memcpy(out->data(), data + pos, count * sizeof(T));
+    pos += count * sizeof(T);
+    return true;
+  }
   bool GetString(std::string* out) {
     uint32_t len = 0;
     if (!Get(&len) || !Has(len)) return false;
@@ -78,7 +88,7 @@ Status Truncated(const char* what) {
 
 /// Serializes one table: schema, null bitmaps, typed payloads (strings as
 /// dictionary + codes), index key masks. Readable back bit-identically by
-/// DecodeTable's append replay.
+/// DecodeTable.
 void EncodeTable(const Table& table, std::string* out) {
   PutString(out, table.name());
   const Schema& schema = table.schema();
@@ -122,19 +132,19 @@ void EncodeTable(const Table& table, std::string* out) {
   }
 }
 
-/// Rebuilds a table by replaying the original append sequence row by row —
-/// the reconstruction is bit-identical to the source table because every
-/// table in the engine is itself built purely by appends (dictionary
-/// first-occurrence order, null placeholders and code-range metadata all
-/// fall out of the replay). Indexes are recomputed from their key masks;
-/// CreateIndex sorts deterministically, so the permutations match too.
+/// Rebuilds a table from its image, one bulk load per column. Every table
+/// in the engine is built by appends (or by Column::Concat, which equals
+/// them), and Column::FromX returns exactly the column that appending the
+/// decoded rows one by one would build — dictionary first-appearance order,
+/// NULL placeholders, code-range metadata — or an error for an image no
+/// append sequence produces. Indexes are recomputed from their key masks;
+/// CreateIndex's order is total, so the permutations match too.
 Result<TablePtr> DecodeTable(Cursor* cur) {
   std::string name;
   if (!cur->GetString(&name)) return Truncated("table name");
   uint32_t ncols = 0;
   if (!cur->Get(&ncols)) return Truncated("column count");
   std::vector<ColumnDef> defs;
-  defs.reserve(ncols);
   for (uint32_t c = 0; c < ncols; ++c) {
     ColumnDef def;
     if (!cur->GetString(&def.name)) return Truncated("column name");
@@ -150,80 +160,56 @@ Result<TablePtr> DecodeTable(Cursor* cur) {
   }
   uint64_t rows = 0;
   if (!cur->Get(&rows)) return Truncated("row count");
-  const size_t nwords = (rows + 63) / 64;
+  // Every column stores at least four bytes a row.
+  if (ncols > 0 && rows > cur->size - cur->pos) return Truncated("rows");
+  const uint64_t nwords = (rows + 63) / 64;
 
-  TableBuilder builder{Schema(defs)};
-  std::vector<ColumnSet> index_keys;
+  std::vector<ColumnPtr> columns;
   for (uint32_t c = 0; c < ncols; ++c) {
     uint8_t has_nulls = 0;
     if (!cur->Get(&has_nulls)) return Truncated("null flag");
-    const uint64_t* nulls = nullptr;
-    if (has_nulls != 0) {
-      if (!cur->Has(nwords * 8)) return Truncated("null bitmap");
-      nulls = reinterpret_cast<const uint64_t*>(cur->data + cur->pos);
-      cur->pos += nwords * 8;
+    std::vector<uint64_t> nulls;
+    if (has_nulls != 0 && !cur->GetArray(nwords, &nulls)) {
+      return Truncated("null bitmap");
     }
-    Column* col = builder.column(static_cast<int>(c));
-    auto is_null = [&](uint64_t r) {
-      return nulls != nullptr && ((nulls[r >> 6] >> (r & 63)) & 1) != 0;
-    };
+    Result<ColumnPtr> col = Status::Internal("unreachable column type");
     switch (defs[c].type) {
       case DataType::kInt64: {
-        if (!cur->Has(rows * 8)) return Truncated("int64 payload");
-        const int64_t* vals =
-            reinterpret_cast<const int64_t*>(cur->data + cur->pos);
-        cur->pos += rows * 8;
-        for (uint64_t r = 0; r < rows; ++r) {
-          if (is_null(r)) {
-            col->AppendNull();
-          } else {
-            col->AppendInt64(vals[r]);
-          }
-        }
+        std::vector<int64_t> vals;
+        if (!cur->GetArray(rows, &vals)) return Truncated("int64 payload");
+        col = Column::FromInt64s(vals, std::move(nulls));
         break;
       }
       case DataType::kDouble: {
-        if (!cur->Has(rows * 8)) return Truncated("double payload");
-        const double* vals =
-            reinterpret_cast<const double*>(cur->data + cur->pos);
-        cur->pos += rows * 8;
-        for (uint64_t r = 0; r < rows; ++r) {
-          if (is_null(r)) {
-            col->AppendNull();
-          } else {
-            col->AppendDouble(vals[r]);
-          }
-        }
+        std::vector<double> vals;
+        if (!cur->GetArray(rows, &vals)) return Truncated("double payload");
+        col = Column::FromDoubles(vals, std::move(nulls));
         break;
       }
       case DataType::kString: {
         uint32_t dict_count = 0;
         if (!cur->Get(&dict_count)) return Truncated("dictionary count");
-        std::vector<std::string> dict;
-        dict.reserve(dict_count);
-        for (uint32_t d = 0; d < dict_count; ++d) {
-          std::string entry;
+        // Each entry carries at least its four-byte length.
+        if (dict_count > (cur->size - cur->pos) / 4) {
+          return Truncated("dictionary");
+        }
+        std::vector<std::string> dict(dict_count);
+        for (std::string& entry : dict) {
           if (!cur->GetString(&entry)) return Truncated("dictionary entry");
-          dict.push_back(std::move(entry));
         }
-        if (!cur->Has(rows * 4)) return Truncated("string codes");
-        const uint32_t* codes =
-            reinterpret_cast<const uint32_t*>(cur->data + cur->pos);
-        cur->pos += rows * 4;
-        for (uint64_t r = 0; r < rows; ++r) {
-          if (is_null(r)) {
-            col->AppendNull();
-          } else if (codes[r] < dict.size()) {
-            col->AppendString(dict[codes[r]]);
-          } else {
-            return Status::Internal(
-                "checkpoint: string code out of dictionary range");
-          }
-        }
+        std::vector<uint32_t> codes;
+        if (!cur->GetArray(rows, &codes)) return Truncated("string codes");
+        col = Column::FromStrings(codes, dict, std::move(nulls));
         break;
       }
     }
+    if (!col.ok()) {
+      return Status::Internal("checkpoint: table '" + name + "' column '" +
+                              defs[c].name + "': " + col.status().message());
+    }
+    columns.push_back(*std::move(col));
   }
+  std::vector<ColumnSet> index_keys;
   uint32_t nindexes = 0;
   if (!cur->Get(&nindexes)) return Truncated("index count");
   for (uint32_t i = 0; i < nindexes; ++i) {
@@ -231,12 +217,13 @@ Result<TablePtr> DecodeTable(Cursor* cur) {
     if (!cur->Get(&mask)) return Truncated("index key");
     index_keys.push_back(ColumnSet(mask));
   }
-  Result<TablePtr> built = builder.Build(name);
-  GBMQO_RETURN_NOT_OK(built.status());
+  auto table =
+      std::make_shared<Table>(std::move(name), Schema(std::move(defs)),
+                              std::move(columns), ncols > 0 ? rows : 0);
   for (ColumnSet key : index_keys) {
-    GBMQO_RETURN_NOT_OK((*built)->CreateIndex(key));
+    GBMQO_RETURN_NOT_OK(table->CreateIndex(key));
   }
-  return built;
+  return table;
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // aggregate-cache entries — that bound WAL replay time. Recovery loads the
 // newest valid checkpoint and replays only the WAL records after its
 // version (storage/wal.h); together they rebuild *bit-identical* state:
-// tables are serialized column-by-column but reconstructed by replaying the
-// original row-order appends, which reproduces every internal detail a
-// query can observe (dictionary first-occurrence order and codes, null
-// placeholders, code-range metadata, index row permutations).
+// tables are serialized column by column and loaded back in bulk into
+// exactly the columns that replaying the original row-order appends would
+// build, which reproduces every internal detail a query can observe
+// (dictionary first-occurrence order and codes, null placeholders,
+// code-range metadata, index row permutations). An image no append
+// sequence could have produced is rejected, not loaded.
 //
 // File discipline: an image is assembled in memory, written to
 // `checkpoint-<version>.gckp.tmp-<pid>`, flushed, fsynced, then renamed to

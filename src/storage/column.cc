@@ -1,9 +1,51 @@
 #include "storage/column.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <limits>
 
 namespace gbmqo {
+
+uint32_t StringDictionary::InternLocked(std::string_view v) {
+  auto it = intern_.find(v);
+  if (it != intern_.end()) return it->second;
+  const uint64_t slot = size_ + kFirstBucketSize;
+  const int b = std::bit_width(slot) - 1;
+  std::unique_ptr<std::string[]>& bucket = buckets_[b - kFirstBucketLog];
+  if (bucket == nullptr) {
+    bucket = std::make_unique<std::string[]>(uint64_t{1} << b);
+  }
+  std::string& entry = bucket[slot - (uint64_t{1} << b)];
+  entry.assign(v);
+  const uint32_t code = static_cast<uint32_t>(size_++);
+  intern_.emplace(entry, code);
+  return code;
+}
+
+std::shared_ptr<StringDictionary> StringDictionary::ForkPrefix(
+    const StringDictionary& src, size_t n) {
+  auto fork = std::make_shared<StringDictionary>();
+  fork->intern_.reserve(n);
+  for (size_t code = 0; code < n; ++code) fork->InternLocked(src[code]);
+  return fork;
+}
+
+Column::Column(DataType type) : type_(type) {
+  if (type_ == DataType::kString) dict_ = std::make_shared<StringDictionary>();
+}
+
+std::unique_lock<std::mutex> Column::LockTipDictionary() {
+  std::unique_lock<std::mutex> lock(dict_->mu_);
+  if (dict_->size_ == dict_size_) return lock;
+  // Some other column extended the dictionary past what this one sees;
+  // extending it too would hand out codes that already mean something else.
+  std::shared_ptr<StringDictionary> fork =
+      StringDictionary::ForkPrefix(*dict_, dict_size_);
+  lock.unlock();
+  dict_ = std::move(fork);
+  return std::unique_lock<std::mutex>(dict_->mu_);
+}
 
 void Column::AppendNotNull() {
   if (!null_bitmap_.empty()) {
@@ -32,11 +74,9 @@ void Column::NoteCode(uint64_t code) {
 }
 
 uint32_t Column::InternString(std::string_view v) {
-  auto it = intern_.find(std::string(v));
-  if (it != intern_.end()) return it->second;
-  const uint32_t code = static_cast<uint32_t>(dictionary_.size());
-  dictionary_.emplace_back(v);
-  intern_.emplace(dictionary_.back(), code);
+  std::unique_lock<std::mutex> lock = LockTipDictionary();
+  const uint32_t code = dict_->InternLocked(v);
+  dict_size_ = dict_->size_;
   return code;
 }
 
@@ -154,13 +194,10 @@ void Column::AppendRangeFrom(const Column& other, size_t begin, size_t count) {
   }
   switch (type_) {
     case DataType::kInt64:
-      int64_data_.insert(int64_data_.end(), other.int64_data_.begin() + begin,
-                         other.int64_data_.begin() + begin + count);
+      int64_data_.append(other.int64_data_.data() + begin, count);
       break;
     case DataType::kDouble:
-      double_data_.insert(double_data_.end(),
-                          other.double_data_.begin() + begin,
-                          other.double_data_.begin() + begin + count);
+      double_data_.append(other.double_data_.data() + begin, count);
       break;
     case DataType::kString:
       break;  // handled above
@@ -179,6 +216,180 @@ void Column::AppendRangeFrom(const Column& other, size_t begin, size_t count) {
     null_bitmap_.resize(words, 0);
   }
   rows_ += count;
+}
+
+ColumnPtr Column::Concat(const Column& head, const Column& tail) {
+  assert(head.type_ == tail.type_);
+  auto out = std::make_shared<Column>(head.type_);
+  out->rows_ = head.rows_ + tail.rows_;
+  out->null_count_ = head.null_count_ + tail.null_count_;
+  out->has_code_range_ = head.has_code_range_;
+  out->code_min_ = head.code_min_;
+  out->code_max_ = head.code_max_;
+  // The bitmap an append sequence leaves: none without NULLs, else one word
+  // per started 64 rows. Head words copy as is, tail words shift in.
+  if (out->null_count_ > 0) {
+    std::vector<uint64_t>& bits = out->null_bitmap_;
+    bits.assign((out->rows_ + 63) / 64, 0);
+    std::copy_n(head.null_bitmap_.begin(),
+                std::min(head.null_bitmap_.size(), bits.size()), bits.begin());
+    const size_t first = head.rows_ >> 6;
+    const int shift = static_cast<int>(head.rows_ & 63);
+    const size_t tail_words =
+        std::min(tail.null_bitmap_.size(), (tail.rows_ + 63) / 64);
+    for (size_t j = 0; j < tail_words; ++j) {
+      const uint64_t w = tail.null_bitmap_[j];
+      bits[first + j] |= w << shift;
+      if (shift != 0 && first + j + 1 < bits.size()) {
+        bits[first + j + 1] |= w >> (64 - shift);
+      }
+    }
+  }
+  switch (head.type_) {
+    case DataType::kInt64:
+      out->int64_data_ = SharedArray<int64_t>::Concat(
+          head.int64_data_, tail.int64_data_.data(), tail.rows_);
+      break;
+    case DataType::kDouble:
+      out->double_data_ = SharedArray<double>::Concat(
+          head.double_data_, tail.double_data_.data(), tail.rows_);
+      break;
+    case DataType::kString: {
+      out->string_bytes_ = head.string_bytes_ + tail.string_bytes_;
+      out->dict_ = head.dict_;
+      out->dict_size_ = head.dict_size_;
+      // Intern the tail's values in row order, each on its first
+      // appearance — the order per-row appends would intern them in — and
+      // translate its codes through `remap`.
+      constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
+      std::vector<uint32_t> remap(tail.dict_size_, kUnmapped);
+      std::vector<uint32_t> codes(tail.rows_);
+      std::unique_lock<std::mutex> lock = out->LockTipDictionary();
+      for (size_t row = 0; row < tail.rows_; ++row) {
+        const uint32_t tail_code = tail.string_codes_[row];
+        uint32_t& code = remap[tail_code];
+        if (code == kUnmapped) {
+          code = out->dict_->InternLocked(tail.DictEntry(tail_code));
+        }
+        codes[row] = code;
+        if (!tail.IsNull(row)) out->NoteCode(code);
+      }
+      out->string_codes_ = SharedArray<uint32_t>::Concat(
+          head.string_codes_, codes.data(), codes.size());
+      out->dict_size_ = out->dict_->size_;
+      return out;
+    }
+  }
+  if (tail.has_code_range_) {
+    out->NoteCode(tail.code_min_);
+    out->NoteCode(tail.code_max_);
+  }
+  return out;
+}
+
+Status Column::AdoptNullWords(std::vector<uint64_t> null_words) {
+  if (null_words.empty()) return Status::OK();
+  if (null_words.size() != (rows_ + 63) / 64) {
+    return Status::Internal("null bitmap has " +
+                            std::to_string(null_words.size()) +
+                            " words for " + std::to_string(rows_) + " rows");
+  }
+  if ((rows_ & 63) != 0 && (null_words.back() >> (rows_ & 63)) != 0) {
+    return Status::Internal("null bitmap marks a row past the last one");
+  }
+  size_t nulls = 0;
+  for (uint64_t w : null_words) nulls += static_cast<size_t>(std::popcount(w));
+  // Appends only allocate a bitmap on the first NULL.
+  if (nulls == 0) return Status::OK();
+  null_count_ = nulls;
+  null_bitmap_ = std::move(null_words);
+  return Status::OK();
+}
+
+Result<ColumnPtr> Column::FromInt64s(const std::vector<int64_t>& values,
+                                     std::vector<uint64_t> null_words) {
+  auto col = std::make_shared<Column>(DataType::kInt64);
+  col->rows_ = values.size();
+  col->int64_data_.append(values.data(), values.size());
+  GBMQO_RETURN_NOT_OK(col->AdoptNullWords(std::move(null_words)));
+  GBMQO_RETURN_NOT_OK(col->NoteDecodedNumericCodes());
+  return col;
+}
+
+Result<ColumnPtr> Column::FromDoubles(const std::vector<double>& values,
+                                      std::vector<uint64_t> null_words) {
+  auto col = std::make_shared<Column>(DataType::kDouble);
+  col->rows_ = values.size();
+  col->double_data_.append(values.data(), values.size());
+  GBMQO_RETURN_NOT_OK(col->AdoptNullWords(std::move(null_words)));
+  GBMQO_RETURN_NOT_OK(col->NoteDecodedNumericCodes());
+  return col;
+}
+
+Status Column::NoteDecodedNumericCodes() {
+  for (size_t row = 0; row < rows_; ++row) {
+    const uint64_t code = CodeAt(row);
+    if (!IsNull(row)) {
+      NoteCode(code);
+    } else if (code != 0) {
+      return Status::Internal("NULL row " + std::to_string(row) +
+                              " holds a nonzero placeholder");
+    }
+  }
+  return Status::OK();
+}
+
+Result<ColumnPtr> Column::FromStrings(
+    const std::vector<uint32_t>& codes,
+    const std::vector<std::string>& dictionary,
+    std::vector<uint64_t> null_words) {
+  auto col = std::make_shared<Column>(DataType::kString);
+  col->rows_ = codes.size();
+  GBMQO_RETURN_NOT_OK(col->AdoptNullWords(std::move(null_words)));
+  // The dictionary is still private to `col`: no lock needed.
+  StringDictionary& dict = *col->dict_;
+  dict.intern_.reserve(dictionary.size());
+  for (size_t entry = 0; entry < dictionary.size(); ++entry) {
+    const uint32_t code = dict.InternLocked(dictionary[entry]);
+    if (code != entry) {
+      return Status::Internal("dictionary entry " + std::to_string(entry) +
+                              " duplicates entry " + std::to_string(code));
+    }
+  }
+  col->dict_size_ = dict.size_;
+  // Per-row appends number values by first appearance, so the codes must
+  // first appear as 0, 1, 2, ... and use every entry.
+  size_t next = 0;
+  for (size_t row = 0; row < col->rows_; ++row) {
+    const uint32_t code = codes[row];
+    if (code >= dict.size_) {
+      return Status::Internal("row " + std::to_string(row) + " has code " +
+                              std::to_string(code) + " past the " +
+                              std::to_string(dict.size_) +
+                              "-entry dictionary");
+    }
+    if (code > next) {
+      return Status::Internal("row " + std::to_string(row) + " has code " +
+                              std::to_string(code) + " before any row has " +
+                              std::to_string(next));
+    }
+    if (code == next) ++next;
+    if (col->IsNull(row)) {
+      if (!dict[code].empty()) {
+        return Status::Internal("NULL row " + std::to_string(row) +
+                                " is not coded as the empty string");
+      }
+      continue;
+    }
+    col->NoteCode(code);
+    col->string_bytes_ += dict[code].size();
+  }
+  if (next != dict.size_) {
+    return Status::Internal("dictionary entry " + std::to_string(next) +
+                            " is used by no row");
+  }
+  col->string_codes_.append(codes.data(), codes.size());
+  return col;
 }
 
 void Column::Reserve(size_t n) {

@@ -41,17 +41,17 @@ Result<TablePtr> AppendRows(const Table& base, const Table& delta,
                                      "' type does not match base");
     }
   }
-  TableBuilder builder(base.schema());
+  std::vector<ColumnPtr> columns;
+  columns.reserve(static_cast<size_t>(base.schema().num_columns()));
   for (int c = 0; c < base.schema().num_columns(); ++c) {
-    Column* out = builder.column(c);
-    out->Reserve(base.num_rows() + delta.num_rows());
-    out->AppendRangeFrom(base.column(c), 0, base.num_rows());
-    out->AppendRangeFrom(delta.column(c), 0, delta.num_rows());
+    columns.push_back(Column::Concat(base.column(c), delta.column(c)));
   }
-  Result<TablePtr> built = builder.Build(std::move(name));
-  if (!built.ok()) return built.status();
+  auto built =
+      std::make_shared<Table>(std::move(name), base.schema(),
+                              std::move(columns),
+                              base.num_rows() + delta.num_rows());
   for (const auto& [key, index] : base.indexes()) {
-    GBMQO_RETURN_NOT_OK((*built)->CreateIndex(key));
+    GBMQO_RETURN_NOT_OK(built->ExtendIndex(index));
   }
   return built;
 }

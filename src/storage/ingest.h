@@ -2,12 +2,14 @@
 // analytics scenario (ROADMAP item 2). The engine's tables are immutable
 // after build — every scan path, the kernel-selection metadata, and the
 // concurrent serving layer rely on that — so an append produces a *new*
-// immutable table version: old rows bulk-copied (Column::AppendRangeFrom),
-// delta rows appended, registered in the Catalog under a versioned name
+// immutable table version, registered in the Catalog under a versioned name
 // while readers of the previous version keep their snapshot untouched.
-// That copy-on-append discipline is what lets the serving layer promise
-// "fully-old or fully-new, never torn" without a single reader-side lock
-// on row data.
+// Each new column is Column::Concat(old column, delta column): it shares the
+// old version's append-only value arrays and string dictionary and writes
+// only the delta's rows past the end the old version sees, so a batch costs
+// amortized O(batch) plus a copy of the null bitmaps, whatever the base
+// size. That discipline is what lets the serving layer promise "fully-old
+// or fully-new, never torn" without a single reader-side lock on row data.
 //
 // The Ingestor owns the per-table monotone version counters (mirrored into
 // the Catalog's version map) and hands each batch back as (new base, delta
@@ -34,10 +36,12 @@ Result<TablePtr> BuildDeltaTable(const Schema& schema,
                                  const std::vector<std::vector<Value>>& rows,
                                  const std::string& name);
 
-/// Copy-on-append: a new immutable table named `name` holding every row of
-/// `base` followed by every row of `delta` (schemas must match column-wise
-/// by type). Secondary indexes of `base` are rebuilt on the new version so
-/// physical-design decisions survive ingestion.
+/// A new immutable table named `name` holding every row of `base` followed
+/// by every row of `delta` (schemas must match column-wise by type), built
+/// column by column with Column::Concat. Secondary indexes of `base` carry
+/// over by merging the delta's rows in (Table::ExtendIndex), so
+/// physical-design decisions survive ingestion. Calling it twice on one
+/// base is legal; the second call copies the base instead of sharing it.
 Result<TablePtr> AppendRows(const Table& base, const Table& delta,
                             std::string name);
 

@@ -55,7 +55,17 @@ double Table::AvgRowWidth(ColumnSet set) const {
   return width;
 }
 
-Status Table::CreateIndex(ColumnSet key) {
+Status Table::CreateIndex(ColumnSet key) { return AttachIndex(key, {}); }
+
+Status Table::ExtendIndex(const Index& prefix) {
+  if (prefix.sorted_rows().size() > num_rows_) {
+    return Status::InvalidArgument("index prefix is longer than the table");
+  }
+  return AttachIndex(prefix.key(), prefix.sorted_rows());
+}
+
+Status Table::AttachIndex(ColumnSet key,
+                          const std::vector<uint32_t>& sorted_prefix) {
   if (key.empty()) return Status::InvalidArgument("index key is empty");
   const std::vector<int> cols = key.ToVector();
   for (int c : cols) {
@@ -63,9 +73,7 @@ Status Table::CreateIndex(ColumnSet key) {
       return Status::InvalidArgument("index key column out of range");
     }
   }
-  std::vector<uint32_t> rows(num_rows_);
-  std::iota(rows.begin(), rows.end(), 0);
-  std::sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
+  auto less = [&](uint32_t a, uint32_t b) {
     for (int c : cols) {
       const Column& col = column(c);
       const bool an = col.IsNull(a), bn = col.IsNull(b);
@@ -74,8 +82,24 @@ Status Table::CreateIndex(ColumnSet key) {
       const uint64_t ac = col.CodeAt(a), bc = col.CodeAt(b);
       if (ac != bc) return ac < bc;
     }
-    return false;
-  });
+    return a < b;
+  };
+  std::vector<uint32_t> tail(num_rows_ - sorted_prefix.size());
+  std::iota(tail.begin(), tail.end(),
+            static_cast<uint32_t>(sorted_prefix.size()));
+  std::sort(tail.begin(), tail.end(), less);
+  // Each tail row lands after every prefix row that orders before it: a
+  // binary search per tail row, then the prefix copied run by run.
+  std::vector<uint32_t> rows;
+  rows.reserve(num_rows_);
+  auto from = sorted_prefix.begin();
+  for (uint32_t row : tail) {
+    auto to = std::upper_bound(from, sorted_prefix.end(), row, less);
+    rows.insert(rows.end(), from, to);
+    rows.push_back(row);
+    from = to;
+  }
+  rows.insert(rows.end(), from, sorted_prefix.end());
   indexes_.insert_or_assign(key, Index(key, std::move(rows)));
   return Status::OK();
 }

@@ -20,9 +20,12 @@ class Table;
 using TablePtr = std::shared_ptr<Table>;
 
 /// A secondary index on a column set: row ids permuted so that rows with
-/// equal key values are adjacent (grouping order). A covering index lets the
-/// executor stream-aggregate without a hash table and lets the cost model
-/// charge narrow index pages instead of full-width table pages.
+/// equal key values are adjacent (grouping order). The order is total: key
+/// columns in ascending ordinal, NULLs first, then by group code, then by
+/// row id — so it is unique, and with it the fold order of a stream
+/// aggregate over the index. A covering index lets the executor
+/// stream-aggregate without a hash table and lets the cost model charge
+/// narrow index pages instead of full-width table pages.
 class Index {
  public:
   Index(ColumnSet key, std::vector<uint32_t> sorted_rows)
@@ -86,6 +89,12 @@ class Table {
   /// index with the same key.
   Status CreateIndex(ColumnSet key);
 
+  /// Attaches the index CreateIndex(prefix.key()) would build, given
+  /// `prefix`, an index on this table's first prefix.sorted_rows().size()
+  /// rows with unchanged group codes (the base of an append, storage/
+  /// ingest.h). Sorts only the rows after the prefix and merges them in.
+  Status ExtendIndex(const Index& prefix);
+
   /// The attached index on exactly `key`, or nullptr.
   const Index* FindIndex(ColumnSet key) const;
 
@@ -102,6 +111,10 @@ class Table {
   std::vector<Value> Row(size_t row) const;
 
  private:
+  /// Sorts rows [sorted_prefix.size(), num_rows()) in index order, merges
+  /// them into `sorted_prefix` and attaches the result as the index on key.
+  Status AttachIndex(ColumnSet key, const std::vector<uint32_t>& sorted_prefix);
+
   std::string name_;
   Schema schema_;
   std::vector<ColumnPtr> columns_;

@@ -18,7 +18,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <tuple>
@@ -30,6 +32,7 @@
 #endif
 
 #include "api/server.h"
+#include "common/crc32.h"
 #include "common/fault_injector.h"
 #include "common/rng.h"
 #include "core/aggregate_cache.h"
@@ -484,6 +487,92 @@ TEST(CheckpointTest, BitFlipOnReadIsRejected) {
   Result<CheckpointImage> loaded = ReadCheckpoint(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsInternal()) << loaded.status().ToString();
+}
+
+// ---- checkpoint decode rejections -------------------------------------------
+//
+// Each case writes a checkpoint of a one-STRING-column table holding
+// "alpha", "bravo", "alpha" (dictionary [alpha, bravo], codes [0, 1, 0]),
+// edits the image so that no append sequence could have produced it,
+// re-seals the CRC, and expects ReadCheckpoint to refuse it: loading it in
+// bulk would not give the table a per-row rebuild gives.
+
+Result<CheckpointImage> ReadEditedCheckpoint(
+    const std::string& dir, const std::function<void(std::string*)>& edit) {
+  TableBuilder builder(Schema({ColumnDef{"s", DataType::kString, false}}));
+  for (const char* v : {"alpha", "bravo", "alpha"}) {
+    EXPECT_TRUE(builder.AppendRow({Value(std::string(v))}).ok());
+  }
+  CheckpointImage image;
+  image.base_version = 1;
+  image.base = *builder.Build("t");
+  uint64_t bytes = 0;
+  EXPECT_TRUE(WriteCheckpoint(dir, image, nullptr, &bytes).ok());
+  const std::string path = dir + "/" + CheckpointFileName(1);
+  EXPECT_TRUE(ReadCheckpoint(path).ok());  // the unedited image loads
+
+  std::string file;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    file.resize(bytes);
+    EXPECT_EQ(std::fread(file.data(), 1, bytes, f), bytes);
+    std::fclose(f);
+  }
+  constexpr size_t kHeader = 28;  // magic, format, version, length, CRC
+  std::string payload = file.substr(kHeader);
+  edit(&payload);
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  std::memcpy(file.data() + 24, &crc, sizeof crc);
+  file.replace(kHeader, payload.size(), payload);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    EXPECT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+  }
+  return ReadCheckpoint(path);
+}
+
+/// Overwrites code `row` of the image's codes, which follow "bravo".
+void SetCode(std::string* payload, size_t row, uint32_t code) {
+  const size_t codes = payload->find("bravo") + 5;
+  std::memcpy(payload->data() + codes + 4 * row, &code, sizeof code);
+}
+
+void ExpectRejected(const Result<CheckpointImage>& loaded,
+                    const std::string& why) {
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInternal()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find(why), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(CheckpointTest, RejectsDuplicateDictionaryEntries) {
+  TempDirGuard dir("ckp-dupdict");
+  ExpectRejected(ReadEditedCheckpoint(dir.path(),
+                                      [](std::string* p) {
+                                        p->replace(p->find("bravo"), 5,
+                                                   "alpha");
+                                      }),
+                 "duplicates entry 0");
+}
+
+TEST(CheckpointTest, RejectsCodeOutOfRange) {
+  TempDirGuard dir("ckp-coderange");
+  ExpectRejected(ReadEditedCheckpoint(
+                     dir.path(), [](std::string* p) { SetCode(p, 1, 7); }),
+                 "past the 2-entry dictionary");
+}
+
+TEST(CheckpointTest, RejectsCodesOutOfFirstAppearanceOrder) {
+  TempDirGuard dir("ckp-codeorder");
+  // Codes [1, 0, 1]: a per-row rebuild would number "bravo" 0.
+  ExpectRejected(ReadEditedCheckpoint(dir.path(),
+                                      [](std::string* p) {
+                                        SetCode(p, 0, 1);
+                                        SetCode(p, 1, 0);
+                                        SetCode(p, 2, 1);
+                                      }),
+                 "before any row has 0");
 }
 
 TEST(CheckpointTest, ListCheckpointsSortsAscending) {
