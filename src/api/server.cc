@@ -246,9 +246,8 @@ Status Server::ApplyBatchLocked(const std::vector<std::vector<Value>>& rows,
 
   if (cache_ != nullptr) {
     if (options_.incremental_maintenance) {
-      DeltaMaintenanceOptions mopts;
-      mopts.parallelism = options_.session.parallelism;
-      DeltaMaintainer maintainer(&catalog_, cache_.get(), mopts);
+      DeltaMaintainer maintainer(&catalog_, cache_.get(),
+                                 MakeMaintenanceOptions(options_.session));
       Result<DeltaMaintenanceReport> report = maintainer.ApplyDelta(
           batch->delta, batch->base, base_->schema(), batch->version);
       if (report.ok()) {
@@ -595,11 +594,8 @@ Result<ExecutionResult> Server::HandleRequest(
   ExecutionResult out;
   CancellationToken token;
   if (!open.empty()) {
-    PlanExecutor executor(&catalog_, snap->base->name(),
-                          options_.session.scan_mode,
-                          options_.session.parallelism);
-    executor.set_fusion_enabled(options_.session.shared_scan_fusion);
-    executor.set_node_parallel(options_.session.node_parallelism);
+    PlanExecutor executor =
+        MakePlanExecutor(&catalog_, snap->base->name(), options_.session);
     const bool per_plan_gate = options_.session.max_exec_storage_bytes > 0;
     if (per_plan_gate || governor_ != nullptr) {
       executor.set_storage_budget(
@@ -607,25 +603,14 @@ Result<ExecutionResult> Server::HandleRequest(
                         : std::numeric_limits<double>::infinity(),
           snap->whatif.get());
     }
-    executor.set_max_task_retries(options_.session.max_task_retries);
-    executor.set_retry_backoff_ms(options_.session.retry_backoff_ms);
     if (options_.session.exec_deadline_ms > 0) {
       token.SetDeadlineAfterMs(options_.session.exec_deadline_ms);
       executor.set_cancellation(&token);
     }
     executor.set_aggregate_cache(cache_.get());
+    // Spill files meter against this shared governor too, so concurrent
+    // requests count disk bytes globally.
     executor.set_storage_governor(governor_.get());
-    if (options_.session.max_spill_bytes > 0 || options_.session.force_spill) {
-      SpillOptions spill;
-      spill.memory_budget_bytes = static_cast<uint64_t>(
-          options_.session.max_exec_storage_bytes);
-      spill.directory = options_.session.spill_directory;
-      spill.max_spill_bytes = options_.session.max_spill_bytes;
-      spill.force = options_.session.force_spill;
-      // spill.governor stays null: PlanExecutor defaults it to the server's
-      // shared governor, so concurrent requests meter disk bytes globally.
-      executor.set_spill(spill);
-    }
     Result<ExecutionResult> run = executor.Execute(opt->plan, open);
     if (!run.ok()) return run.status();
     out = *std::move(run);
@@ -655,8 +640,7 @@ Status Server::ServeCacheEdge(const BaseSnapshot& snap,
     // relation (correct, just no longer free).
     out->counters.cache_misses += 1;
     ExecContext ctx;
-    QueryExecutor exec(&ctx, options_.session.scan_mode,
-                       options_.session.parallelism);
+    QueryExecutor exec = MakeQueryExecutor(&ctx, options_.session);
     Result<GroupByQuery> query =
         BuildGroupByOver(*snap.base, /*input_is_base=*/true, base_->schema(),
                          req.columns, req.aggs);
@@ -684,8 +668,7 @@ Status Server::ServeCacheEdge(const BaseSnapshot& snap,
   // executor's canonical re-aggregation rewrite (COUNT(*) -> SUM(cnt),
   // SUM -> SUM(sum_x), MIN/MAX re-applied).
   ExecContext ctx;
-  QueryExecutor exec(&ctx, options_.session.scan_mode,
-                     options_.session.parallelism);
+  QueryExecutor exec = MakeQueryExecutor(&ctx, options_.session);
   Result<GroupByQuery> query = BuildGroupByOver(
       *pinned, /*input_is_base=*/false, base_->schema(), req.columns, req.aggs);
   if (!query.ok()) return query.status();

@@ -65,25 +65,10 @@ Result<ExecutionResult> Session::Execute(const std::string& spec) {
 
 Result<ExecutionResult> Session::ExecutePlan(
     const LogicalPlan& plan, const std::vector<GroupByRequest>& requests) {
-  PlanExecutor executor(&catalog_, base_->name(), options_.scan_mode,
-                        options_.parallelism);
-  executor.set_fusion_enabled(options_.shared_scan_fusion);
-  executor.set_node_parallel(options_.node_parallelism);
-  executor.set_force_scalar(options_.force_scalar);
+  PlanExecutor executor = MakePlanExecutor(&catalog_, base_->name(), options_);
   if (options_.max_exec_storage_bytes > 0) {
     executor.set_storage_budget(options_.max_exec_storage_bytes, whatif_.get());
   }
-  if (options_.max_spill_bytes > 0 || options_.force_spill) {
-    SpillOptions spill;
-    spill.memory_budget_bytes =
-        static_cast<uint64_t>(options_.max_exec_storage_bytes);
-    spill.directory = options_.spill_directory;
-    spill.max_spill_bytes = options_.max_spill_bytes;
-    spill.force = options_.force_spill;
-    executor.set_spill(spill);
-  }
-  executor.set_max_task_retries(options_.max_task_retries);
-  executor.set_retry_backoff_ms(options_.retry_backoff_ms);
   if (options_.exec_deadline_ms > 0) {
     // Per-call deadline: a previous call's expiry must not poison this one,
     // but an explicit Cancel() persists until the caller resets the token.
@@ -92,6 +77,43 @@ Result<ExecutionResult> Session::ExecutePlan(
   }
   executor.set_cancellation(&cancel_);
   return executor.Execute(plan, requests);
+}
+
+PlanExecutor MakePlanExecutor(Catalog* catalog, std::string base_table,
+                              const SessionOptions& options) {
+  PlanExecutor executor(catalog, std::move(base_table), options.scan_mode,
+                        options.parallelism);
+  executor.set_fusion_enabled(options.shared_scan_fusion);
+  executor.set_node_parallel(options.node_parallelism);
+  executor.set_force_scalar(options.force_scalar);
+  executor.set_max_task_retries(options.max_task_retries);
+  executor.set_retry_backoff_ms(options.retry_backoff_ms);
+  if (options.max_spill_bytes > 0 || options.force_spill) {
+    SpillOptions spill;
+    spill.memory_budget_bytes =
+        static_cast<uint64_t>(options.max_exec_storage_bytes);
+    spill.directory = options.spill_directory;
+    spill.max_spill_bytes = options.max_spill_bytes;
+    spill.force = options.force_spill;
+    // spill.governor stays null: PlanExecutor defaults it to its storage
+    // governor, if the caller sets one.
+    executor.set_spill(spill);
+  }
+  return executor;
+}
+
+QueryExecutor MakeQueryExecutor(ExecContext* ctx,
+                                const SessionOptions& options) {
+  QueryExecutor executor(ctx, options.scan_mode, options.parallelism);
+  executor.set_force_scalar(options.force_scalar);
+  return executor;
+}
+
+DeltaMaintenanceOptions MakeMaintenanceOptions(const SessionOptions& options) {
+  DeltaMaintenanceOptions mopts;
+  mopts.parallelism = options.parallelism;
+  mopts.force_scalar = options.force_scalar;
+  return mopts;
 }
 
 }  // namespace gbmqo

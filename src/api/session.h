@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "core/delta_maintenance.h"
 #include "core/gbmqo.h"
 #include "stats/statistics_manager.h"
 
@@ -80,6 +81,25 @@ struct SessionOptions {
   /// variable forces the same thing process-wide.
   bool force_scalar = false;
 };
+
+// ---- SessionOptions -> executors ---------------------------------------
+//
+// The one place SessionOptions become executor settings. Session and Server
+// build every executor through these, then add what differs between them:
+// the storage gate, cancellation, aggregate cache and governor.
+
+/// A PlanExecutor over `base_table` with the options' scan mode,
+/// parallelism, fusion, node parallelism, SIMD tier, task retries and spill.
+PlanExecutor MakePlanExecutor(Catalog* catalog, std::string base_table,
+                              const SessionOptions& options);
+
+/// A QueryExecutor with the options' scan mode, parallelism and SIMD tier.
+QueryExecutor MakeQueryExecutor(ExecContext* ctx,
+                                const SessionOptions& options);
+
+/// Cache-maintenance settings: the options' parallelism and SIMD tier
+/// (maintenance keeps its own columnar scan mode).
+DeltaMaintenanceOptions MakeMaintenanceOptions(const SessionOptions& options);
 
 /// Owns everything needed to optimize and execute multi-Group-By workloads
 /// over one base relation. Not thread-safe (one session per thread).

@@ -77,6 +77,7 @@ Result<DeltaMaintenanceReport> DeltaMaintainer::ApplyDelta(
   ExecContext ctx;
   QueryExecutor exec(&ctx, options_.scan_mode, options_.parallelism);
   exec.set_forced_kernel(options_.forced_kernel);
+  exec.set_force_scalar(options_.force_scalar);
 
   // Memoized delta aggregates of this batch: (signature, grouping mask) ->
   // per-group partials. std::map for deterministic superset selection.

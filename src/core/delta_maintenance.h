@@ -62,6 +62,8 @@ struct DeltaMaintenanceOptions {
   int parallelism = 1;
   /// Forwarded to QueryExecutor::set_forced_kernel (test/bench knob).
   std::optional<AggKernel> forced_kernel;
+  /// Forwarded to QueryExecutor::set_force_scalar.
+  bool force_scalar = false;
   /// Reuse finer memoized delta aggregates for coarser grouping sets
   /// (the delta lattice). Off = every entry aggregates the delta directly.
   bool rollup_from_finer = true;

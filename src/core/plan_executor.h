@@ -100,6 +100,7 @@ class PlanExecutor {
   /// bit-identical either way; this is a differential-testing and
   /// bench-baseline knob.
   void set_force_scalar(bool force) { force_scalar_ = force; }
+  bool force_scalar() const { return force_scalar_; }
 
   /// Sibling shared-scan fusion: plain Group By children of one parent that
   /// would each hash-aggregate over it (single-copy, kAuto/kHash hint, no

@@ -228,39 +228,46 @@ class AggState {
     return TableBuilder{Schema(std::move(defs))};
   }
 
-  /// Appends this part's groups (in id order) to `builder`'s columns. Parts
-  /// appended in canonical partition order reproduce BuildOutput exactly;
-  /// the spill path appends partition-by-partition so only one partition's
-  /// state is ever resident alongside the output.
+  /// Appends this part's groups (in id order) to `builder`'s columns, a
+  /// column at a time: keys gathered from the representative rows, counts
+  /// and accumulators written in bulk. Parts appended in canonical
+  /// partition order reproduce BuildOutput exactly; the spill path appends
+  /// partition-by-partition so only one partition's state is ever resident
+  /// alongside the output.
   void AppendTo(TableBuilder* builder, const Table& input,
                 const GroupByQuery& query) const {
     const std::vector<int> group_cols = query.grouping.ToVector();
+    const size_t n = num_groups();
     for (size_t c = 0; c < group_cols.size(); ++c) {
-      Column* out = builder->column(static_cast<int>(c));
-      const Column& in = input.column(group_cols[c]);
-      for (size_t g = 0; g < num_groups(); ++g) {
-        out->AppendFrom(in, rep_rows_[g]);
-      }
+      builder->column(static_cast<int>(c))
+          ->AppendGather(input.column(group_cols[c]), rep_rows_.data(), n);
     }
+    std::vector<uint64_t> unseen;  // NULL bits: groups with no argument
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
     for (size_t a = 0; a < query.aggregates.size(); ++a) {
       const AggregateSpec& agg = query.aggregates[a];
       Column* out = builder->column(static_cast<int>(group_cols.size() + a));
       if (agg.kind == AggKind::kCountStar) {
-        for (size_t g = 0; g < num_groups(); ++g) {
-          out->AppendInt64(static_cast<int64_t>(counts_[g]));
-        }
+        // Same-width signed view of the counts.
+        out->AppendInt64s(reinterpret_cast<const int64_t*>(counts_.data()), n);
         continue;
       }
-      const DataType out_type = input.schema().column(agg.arg).type;
-      for (size_t g = 0; g < num_groups(); ++g) {
-        const Accum& acc = acc_[a][g];
-        if (!acc.seen) {
-          out->AppendNull();
-        } else if (out_type == DataType::kInt64) {
-          out->AppendInt64(static_cast<int64_t>(acc.value));
-        } else {
-          out->AppendDouble(acc.value);
+      const std::vector<Accum>& acc = acc_[a];
+      unseen.assign((n + 63) / 64, 0);
+      for (size_t g = 0; g < n; ++g) {
+        unseen[g >> 6] |= uint64_t{!acc[g].seen} << (g & 63);
+      }
+      if (input.schema().column(agg.arg).type == DataType::kInt64) {
+        ints.resize(n);
+        for (size_t g = 0; g < n; ++g) {
+          ints[g] = static_cast<int64_t>(acc[g].value);
         }
+        out->AppendInt64s(ints.data(), n, unseen.data());
+      } else {
+        doubles.resize(n);
+        for (size_t g = 0; g < n; ++g) doubles[g] = acc[g].value;
+        out->AppendDoubles(doubles.data(), n, unseen.data());
       }
     }
   }

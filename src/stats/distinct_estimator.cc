@@ -100,11 +100,10 @@ Result<TablePtr> BuildRowSample(const Table& table, uint64_t sample_size,
   const uint64_t n_rows = table.num_rows();
   if (n_rows > 0) {
     Rng rng(seed);
-    for (uint64_t i = 0; i < sample_size; ++i) {
-      const size_t row = rng.Uniform(n_rows);
-      for (int c = 0; c < table.schema().num_columns(); ++c) {
-        builder.column(c)->AppendFrom(table.column(c), row);
-      }
+    std::vector<uint32_t> rows(sample_size);
+    for (uint32_t& row : rows) row = static_cast<uint32_t>(rng.Uniform(n_rows));
+    for (int c = 0; c < table.schema().num_columns(); ++c) {
+      builder.column(c)->AppendGather(table.column(c), rows.data(), rows.size());
     }
   }
   return builder.Build(table.name() + "_sample");

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <type_traits>
+#include <unordered_map>
 
 namespace gbmqo {
 
@@ -185,11 +187,8 @@ void Column::AppendFrom(const Column& other, size_t row) {
 void Column::AppendRangeFrom(const Column& other, size_t begin, size_t count) {
   assert(other.type_ == type_);
   if (count == 0) return;
-  Reserve(rows_ + count);
-  // The slow path handles NULLs and string re-interning row by row; the
-  // numeric no-NULL case is the one worth making a bulk copy.
   if (other.has_nulls() || type_ == DataType::kString) {
-    for (size_t i = 0; i < count; ++i) AppendFrom(other, begin + i);
+    GatherRows(other, count, [begin](size_t i) { return begin + i; });
     return;
   }
   switch (type_) {
@@ -210,41 +209,178 @@ void Column::AppendRangeFrom(const Column& other, size_t begin, size_t count) {
     NoteCode(other.code_min_);
     NoteCode(other.code_max_);
   }
-  if (!null_bitmap_.empty()) {
-    // This column tracked NULLs before; extend the bitmap with cleared bits.
-    const size_t words = ((rows_ + count) >> 6) + 1;
-    null_bitmap_.resize(words, 0);
+  AppendNullBits(nullptr, count, 0);
+}
+
+void Column::AppendGather(const Column& src, const uint32_t* rows, size_t n) {
+  GatherRows(src, n, [rows](size_t i) -> size_t { return rows[i]; });
+}
+
+template <typename RowAt>
+void Column::GatherRows(const Column& src, size_t n, RowAt row_at) {
+  assert(src.type_ == type_ && &src != this);
+  if (n == 0) return;
+  if (type_ == DataType::kString) {
+    GatherStrings(src, n, row_at, string_codes_.extend(n));
+    return;
   }
-  rows_ += count;
+  std::vector<uint64_t> null_words;
+  if (src.has_nulls()) {
+    null_words.assign((n + 63) / 64, 0);
+    for (size_t i = 0; i < n; ++i) {
+      null_words[i >> 6] |= uint64_t{src.IsNull(row_at(i))} << (i & 63);
+    }
+  }
+  const uint64_t* nulls = null_words.empty() ? nullptr : null_words.data();
+  if (type_ == DataType::kInt64) {
+    const int64_t* data = src.int64_data();
+    AppendNumeric<int64_t>(
+        n, [&](size_t i) { return data[row_at(i)]; }, nulls);
+  } else {
+    const double* data = src.double_data();
+    AppendNumeric<double>(
+        n, [&](size_t i) { return data[row_at(i)]; }, nulls);
+  }
+}
+
+template <typename RowAt>
+void Column::GatherStrings(const Column& src, size_t n, RowAt row_at,
+                           uint32_t* out) {
+  constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
+  std::vector<uint64_t> null_words;
+  size_t nulls = 0;
+  uint32_t null_code = kUnmapped;
+  uint32_t lo = kUnmapped;
+  uint32_t hi = 0;
+  std::unique_lock<std::mutex> lock = LockTipDictionary();
+  // `slot(code)` is the output code remapped from source code `code`,
+  // kUnmapped until this call first interns that code's string.
+  const auto gather = [&](auto&& slot) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t row = row_at(i);
+      if (src.IsNull(row)) {
+        // AppendNull's placeholder: "" interned at the first NULL.
+        if (null_code == kUnmapped) null_code = dict_->InternLocked("");
+        out[i] = null_code;
+        if (null_words.empty()) null_words.assign((n + 63) / 64, 0);
+        null_words[i >> 6] |= uint64_t{1} << (i & 63);
+        ++nulls;
+        continue;
+      }
+      const uint32_t src_code = src.string_codes_[row];
+      const std::string& value = src.DictEntry(src_code);
+      uint32_t& code = slot(src_code);
+      if (code == kUnmapped) code = dict_->InternLocked(value);
+      out[i] = code;
+      string_bytes_ += value.size();
+      lo = std::min(lo, code);
+      hi = std::max(hi, code);
+    }
+  };
+  if (src.dict_size_ <= kDenseRemapEntriesPerRow * n) {
+    std::vector<uint32_t> remap(src.dict_size_, kUnmapped);
+    gather([&](uint32_t code) -> uint32_t& { return remap[code]; });
+  } else {
+    // A source dictionary far larger than the gather (a high-cardinality
+    // column read through few rows) gets a map over the codes it meets.
+    std::unordered_map<uint32_t, uint32_t> remap;
+    gather([&](uint32_t code) -> uint32_t& {
+      return remap.try_emplace(code, kUnmapped).first->second;
+    });
+  }
+  dict_size_ = dict_->size_;
+  lock.unlock();
+  if (nulls < n) {
+    NoteCode(lo);
+    NoteCode(hi);
+  }
+  AppendNullBits(null_words.empty() ? nullptr : null_words.data(), n, nulls);
+}
+
+void Column::AppendInt64s(const int64_t* values, size_t n,
+                          const uint64_t* null_words) {
+  assert(type_ == DataType::kInt64);
+  AppendNumeric<int64_t>(
+      n, [values](size_t i) { return values[i]; }, null_words);
+}
+
+void Column::AppendDoubles(const double* values, size_t n,
+                           const uint64_t* null_words) {
+  assert(type_ == DataType::kDouble);
+  AppendNumeric<double>(
+      n, [values](size_t i) { return values[i]; }, null_words);
+}
+
+template <typename T, typename ValueOf>
+void Column::AppendNumeric(size_t n, ValueOf value_of,
+                           const uint64_t* null_words) {
+  SharedArray<T>& data = [this]() -> SharedArray<T>& {
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return int64_data_;
+    } else {
+      return double_data_;
+    }
+  }();
+  // Codes compare as NoteCode orders them: signed for INT64, as unsigned
+  // bit patterns for DOUBLE.
+  using Ordered = std::conditional_t<std::is_same_v<T, int64_t>, int64_t,
+                                     uint64_t>;
+  Ordered lo = std::numeric_limits<Ordered>::max();
+  Ordered hi = std::numeric_limits<Ordered>::min();
+  T* out = data.extend(n);
+  size_t nulls = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (null_words != nullptr && ((null_words[i >> 6] >> (i & 63)) & 1)) {
+      out[i] = T{};  // AppendNull's placeholder
+      ++nulls;
+      continue;
+    }
+    const T v = value_of(i);
+    out[i] = v;
+    const Ordered code = std::bit_cast<Ordered>(v);
+    lo = std::min(lo, code);
+    hi = std::max(hi, code);
+  }
+  if (nulls < n) {
+    NoteCode(std::bit_cast<uint64_t>(lo));
+    NoteCode(std::bit_cast<uint64_t>(hi));
+  }
+  AppendNullBits(null_words, n, nulls);
+}
+
+void Column::AppendNullBits(const uint64_t* words, size_t n, size_t nulls) {
+  const size_t end = rows_ + n;
+  // Per-row appends allocate the bitmap at the first NULL and from then on
+  // keep a word for every started 64 rows.
+  if (nulls > 0 || !null_bitmap_.empty()) {
+    null_bitmap_.resize(std::max(null_bitmap_.size(), (end + 63) / 64), 0);
+  }
+  if (nulls > 0) {
+    const size_t first = rows_ >> 6;
+    const int shift = static_cast<int>(rows_ & 63);
+    const size_t nwords = (n + 63) / 64;
+    for (size_t j = 0; j < nwords; ++j) {
+      uint64_t w = words[j];
+      if (j + 1 == nwords && (n & 63) != 0) w &= (uint64_t{1} << (n & 63)) - 1;
+      null_bitmap_[first + j] |= w << shift;
+      if (shift != 0 && first + j + 1 < null_bitmap_.size()) {
+        null_bitmap_[first + j + 1] |= w >> (64 - shift);
+      }
+    }
+  }
+  null_count_ += nulls;
+  rows_ = end;
 }
 
 ColumnPtr Column::Concat(const Column& head, const Column& tail) {
   assert(head.type_ == tail.type_);
   auto out = std::make_shared<Column>(head.type_);
-  out->rows_ = head.rows_ + tail.rows_;
-  out->null_count_ = head.null_count_ + tail.null_count_;
+  out->rows_ = head.rows_;
+  out->null_count_ = head.null_count_;
+  out->null_bitmap_ = head.null_bitmap_;
   out->has_code_range_ = head.has_code_range_;
   out->code_min_ = head.code_min_;
   out->code_max_ = head.code_max_;
-  // The bitmap an append sequence leaves: none without NULLs, else one word
-  // per started 64 rows. Head words copy as is, tail words shift in.
-  if (out->null_count_ > 0) {
-    std::vector<uint64_t>& bits = out->null_bitmap_;
-    bits.assign((out->rows_ + 63) / 64, 0);
-    std::copy_n(head.null_bitmap_.begin(),
-                std::min(head.null_bitmap_.size(), bits.size()), bits.begin());
-    const size_t first = head.rows_ >> 6;
-    const int shift = static_cast<int>(head.rows_ & 63);
-    const size_t tail_words =
-        std::min(tail.null_bitmap_.size(), (tail.rows_ + 63) / 64);
-    for (size_t j = 0; j < tail_words; ++j) {
-      const uint64_t w = tail.null_bitmap_[j];
-      bits[first + j] |= w << shift;
-      if (shift != 0 && first + j + 1 < bits.size()) {
-        bits[first + j + 1] |= w >> (64 - shift);
-      }
-    }
-  }
   switch (head.type_) {
     case DataType::kInt64:
       out->int64_data_ = SharedArray<int64_t>::Concat(
@@ -255,31 +391,23 @@ ColumnPtr Column::Concat(const Column& head, const Column& tail) {
           head.double_data_, tail.double_data_.data(), tail.rows_);
       break;
     case DataType::kString: {
-      out->string_bytes_ = head.string_bytes_ + tail.string_bytes_;
+      // The tail's values are interned into head's dictionary (forked if
+      // head is not its tip) in row order, as per-row appends would.
       out->dict_ = head.dict_;
       out->dict_size_ = head.dict_size_;
-      // Intern the tail's values in row order, each on its first
-      // appearance — the order per-row appends would intern them in — and
-      // translate its codes through `remap`.
-      constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
-      std::vector<uint32_t> remap(tail.dict_size_, kUnmapped);
+      out->string_bytes_ = head.string_bytes_;
       std::vector<uint32_t> codes(tail.rows_);
-      std::unique_lock<std::mutex> lock = out->LockTipDictionary();
-      for (size_t row = 0; row < tail.rows_; ++row) {
-        const uint32_t tail_code = tail.string_codes_[row];
-        uint32_t& code = remap[tail_code];
-        if (code == kUnmapped) {
-          code = out->dict_->InternLocked(tail.DictEntry(tail_code));
-        }
-        codes[row] = code;
-        if (!tail.IsNull(row)) out->NoteCode(code);
+      if (tail.rows_ > 0) {
+        out->GatherStrings(tail, tail.rows_, [](size_t i) { return i; },
+                           codes.data());
       }
       out->string_codes_ = SharedArray<uint32_t>::Concat(
           head.string_codes_, codes.data(), codes.size());
-      out->dict_size_ = out->dict_->size_;
       return out;
     }
   }
+  // Head words copy as is, tail words shift in.
+  out->AppendNullBits(tail.null_words(), tail.rows_, tail.null_count_);
   if (tail.has_code_range_) {
     out->NoteCode(tail.code_min_);
     out->NoteCode(tail.code_max_);

@@ -71,6 +71,15 @@ class SharedArray {
   void reserve(size_t n) {
     if (n > capacity_ || (n > size_ && shared())) MoveTo(n);
   }
+  /// Appends n uninitialized elements and returns them for the caller to
+  /// fill; on the same terms as append().
+  T* extend(size_t n) {
+    if (size_ + n > capacity_ || shared()) {
+      MoveTo(std::max(size_ + n, 2 * size_));
+    }
+    size_ += n;
+    return data_ + size_ - n;
+  }
 
   /// `head`'s elements followed by tail[0, n): written into `head`'s block
   /// when `head` is its tip and it has room, else into a new block with
@@ -194,15 +203,38 @@ class Column {
   /// Appends a Value, checking type compatibility.
   Status AppendValue(const Value& v);
 
-  /// Appends row `row` of `other` (same type required). Used when
-  /// materializing group-by output from an input column.
+  /// Appends row `row` of `other` (same type required). One row at a time:
+  /// bulk copies use AppendGather or AppendRangeFrom.
   void AppendFrom(const Column& other, size_t row);
 
+  /// Appends rows rows[0, n) of `src` (same type, and not this column):
+  /// the column n AppendFrom calls would build, equal in values, string
+  /// codes and dictionary, NULL placeholders, code range, null bitmap and
+  /// ByteSize. A numeric gather is one copy loop and one code-range update.
+  /// A string gather takes the dictionary lock once and interns each
+  /// distinct source code once, through a remap table over the source
+  /// dictionary while that has at most kDenseRemapEntriesPerRow entries per
+  /// gathered row, else through a hash map. Calls chain: a column gathered
+  /// piecewise equals one gathered at once. Builds group-by output from
+  /// each group's representative row (exec/query_executor.h).
+  void AppendGather(const Column& src, const uint32_t* rows, size_t n);
+  static constexpr size_t kDenseRemapEntriesPerRow = 8;
+
   /// Bulk-appends rows [begin, begin+count) of `other` (same type
-  /// required). Equivalent to count AppendFrom calls but copies no-NULL
-  /// numeric ranges wholesale; strings and NULLs go row by row. Used to copy
-  /// runs of filter survivors (exec/predicate.h).
+  /// required). Copies no-NULL numeric ranges wholesale, noting the
+  /// source's whole code range; strings and NULLs go through the gather,
+  /// equal to count AppendFrom calls. Used to copy runs of filter survivors
+  /// (exec/predicate.h).
   void AppendRangeFrom(const Column& other, size_t begin, size_t count);
+
+  /// Appends values[0, n) of an INT64 (DOUBLE) column, equal to n
+  /// AppendInt64 (AppendDouble) calls — except that a row whose bit is set
+  /// in `null_words` (bit i of word i / 64; nullptr for no NULLs) is
+  /// appended as AppendNull would, ignoring its value.
+  void AppendInt64s(const int64_t* values, size_t n,
+                    const uint64_t* null_words = nullptr);
+  void AppendDoubles(const double* values, size_t n,
+                     const uint64_t* null_words = nullptr);
 
   /// A new column holding the rows of `head` followed by the rows of `tail`
   /// (same type required) — equal, codes and metadata included, to appending
@@ -357,6 +389,22 @@ class Column {
  private:
   void AppendNotNull();
   void NoteCode(uint64_t code);
+  /// The bulk appends: `row_at(i)` is the source row of new row i.
+  template <typename RowAt>
+  void GatherRows(const Column& src, size_t n, RowAt row_at);
+  /// The string gather, writing the n new codes to `out` (the caller's
+  /// share of the code array).
+  template <typename RowAt>
+  void GatherStrings(const Column& src, size_t n, RowAt row_at,
+                     uint32_t* out);
+  /// Writes n numeric rows, value_of(i) for the non-NULL ones, into the
+  /// value array of type T; then AppendNullBits.
+  template <typename T, typename ValueOf>
+  void AppendNumeric(size_t n, ValueOf value_of, const uint64_t* null_words);
+  /// Finishes a bulk append of n rows whose values are written: shifts
+  /// their `nulls` NULL bits (`words` as in AppendInt64s) into the bitmap,
+  /// sized as per-row appends would leave it, and advances the row count.
+  void AppendNullBits(const uint64_t* words, size_t n, size_t nulls);
   uint32_t InternString(std::string_view v);
   /// Locks the dictionary this column may extend: its own when it is the
   /// tip, else a private fork of its visible prefix, which it adopts.

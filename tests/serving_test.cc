@@ -383,6 +383,77 @@ TEST(ServingTest, CacheRefreshCountersAreDeterministic) {
   EXPECT_EQ(b.cache.evictions, 0u);
 }
 
+// SessionOptions::force_scalar reaches every executor a Server builds: its
+// PlanExecutor, the QueryExecutors of cache serve edges (hit and eviction
+// fallback) and the DeltaMaintainer all come from the SessionOptions
+// helpers, which carry it. Pinning the scalar tier changes no answer and no
+// counter.
+TEST(ServingTest, ForceScalarReachesEveryExecutor) {
+  for (const bool force : {false, true}) {
+    SessionOptions so;
+    so.force_scalar = force;
+    so.parallelism = 3;
+    Catalog catalog;
+    ExecContext ctx;
+    EXPECT_EQ(MakePlanExecutor(&catalog, "lineitem", so).force_scalar(), force);
+    const QueryExecutor exec = MakeQueryExecutor(&ctx, so);
+    EXPECT_EQ(exec.force_scalar(), force);
+    EXPECT_EQ(exec.parallelism(), 3);
+    const DeltaMaintenanceOptions mopts = MakeMaintenanceOptions(so);
+    EXPECT_EQ(mopts.force_scalar, force);
+    EXPECT_EQ(mopts.parallelism, 3);
+  }
+
+  struct Run {
+    std::vector<ExecutionResult> results;
+    ServerStats stats;
+  };
+  const auto run = [](bool force) {
+    ServerOptions options;
+    options.session.force_scalar = force;
+    options.session.parallelism = 4;
+    options.pool_size = 1;
+    Server server(SmallLineitem(), options);
+    Run out;
+    // Cold plan, then a superset view served by re-aggregation.
+    for (const char* spec : {"((l_returnflag, l_linestatus))", kSpec}) {
+      auto r = server.Execute(spec);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) out.results.push_back(*r);
+    }
+    Rng rng(11);
+    for (int b = 0; b < 3; ++b) {
+      std::vector<std::vector<Value>> rows;
+      for (int i = 0; i < 200; ++i) {
+        rows.push_back(
+            server.base().Row(rng.Uniform(server.base().num_rows())));
+      }
+      EXPECT_TRUE(server.AppendBatch(rows).ok());
+      auto warm = server.Execute(kSpec);
+      EXPECT_TRUE(warm.ok()) << warm.status().ToString();
+      if (warm.ok()) out.results.push_back(*warm);
+    }
+    out.stats = server.stats();
+    return out;
+  };
+  const Run simd = run(false);
+  const Run scalar = run(true);
+  ASSERT_EQ(simd.results.size(), scalar.results.size());
+  for (size_t i = 0; i < simd.results.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    ExpectSameResults(simd.results[i], scalar.results[i]);
+    const WorkCounters& a = simd.results[i].counters;
+    const WorkCounters& b = scalar.results[i].counters;
+    EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+    EXPECT_EQ(a.hash_probes, b.hash_probes);
+    EXPECT_EQ(a.rows_emitted, b.rows_emitted);
+    EXPECT_EQ(a.bytes_materialized, b.bytes_materialized);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+  }
+  EXPECT_EQ(simd.stats.cache.refreshes, scalar.stats.cache.refreshes);
+  EXPECT_GT(scalar.stats.cache.refreshes, 0u);
+}
+
 TEST(ServingTest, SubmitAfterShutdownIsCancelled) {
   Server* server = new Server(SmallLineitem());
   auto ok = server->Execute(kSpec);
