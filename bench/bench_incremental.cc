@@ -111,8 +111,9 @@ int main() {
   }
 
   Ingestor ingestor(&catalog);
-  DeltaMaintainer maintainer(&catalog, &cache,
-                             DeltaMaintenanceOptions{.parallelism = 4});
+  DeltaMaintenanceOptions maintain_options;
+  maintain_options.parallelism = 4;
+  DeltaMaintainer maintainer(&catalog, &cache, maintain_options);
   Rng rng(23);
   TablePtr current = base;
   uint64_t version = 0;

@@ -18,17 +18,6 @@ namespace {
 
 using bench::Banner;
 
-bool CountersEqual(const WorkCounters& a, const WorkCounters& b) {
-  return a.rows_scanned == b.rows_scanned &&
-         a.bytes_scanned == b.bytes_scanned &&
-         a.rows_emitted == b.rows_emitted &&
-         a.bytes_materialized == b.bytes_materialized &&
-         a.hash_probes == b.hash_probes && a.rows_sorted == b.rows_sorted &&
-         a.queries_executed == b.queries_executed &&
-         a.agg_cpu_units == b.agg_cpu_units &&
-         a.scan_touch_checksum == b.scan_touch_checksum;
-}
-
 struct Sample {
   int threads = 1;
   double seconds = 0;
@@ -59,8 +48,7 @@ void PrintRows(const char* title, const std::vector<Sample>& samples) {
   for (const Sample& s : samples) {
     std::printf("%-8d | %-12.4f | %-8.2f | %s\n", s.threads, s.seconds,
                 bench::Speedup(samples.front().seconds, s.seconds),
-                CountersEqual(samples.front().counters, s.counters) ? "yes"
-                                                                    : "NO");
+                samples.front().counters == s.counters ? "yes" : "NO");
   }
 }
 
@@ -75,9 +63,7 @@ void PrintJsonSeries(const char* key, const std::vector<Sample>& samples,
                 i == 0 ? "" : ",", s.threads, s.seconds,
                 bench::Speedup(samples.front().seconds, s.seconds),
                 static_cast<unsigned long long>(s.counters.hash_probes),
-                CountersEqual(samples.front().counters, s.counters)
-                    ? "true"
-                    : "false");
+                samples.front().counters == s.counters ? "true" : "false");
   }
   std::printf("\n  ]%s\n", last ? "" : ",");
 }

@@ -34,20 +34,6 @@ struct PipelineOutcome {
   uint64_t content_checksum = 0;
 };
 
-bool CountersEqual(const WorkCounters& a, const WorkCounters& b) {
-  return a.rows_scanned == b.rows_scanned &&
-         a.bytes_scanned == b.bytes_scanned &&
-         a.rows_emitted == b.rows_emitted &&
-         a.bytes_materialized == b.bytes_materialized &&
-         a.hash_probes == b.hash_probes && a.rows_sorted == b.rows_sorted &&
-         a.queries_executed == b.queries_executed &&
-         a.agg_cpu_units == b.agg_cpu_units &&
-         a.dense_kernel_rows == b.dense_kernel_rows &&
-         a.packed_kernel_rows == b.packed_kernel_rows &&
-         a.multiword_kernel_rows == b.multiword_kernel_rows &&
-         a.scan_touch_checksum == b.scan_touch_checksum;
-}
-
 /// FNV-1a over every cell of every result table, in canonical (ColumnSet,
 /// row, column) order — equal checksums mean bit-identical result content.
 uint64_t ContentChecksum(const ExecutionResult& r) {
@@ -216,7 +202,7 @@ int main() {
   for (const int workers : {2, 8}) {
     const auto r = RunPipeline(&catalog, "sales", fan_plan, fan_requests,
                                workers, true, 1);
-    const bool counters_ok = CountersEqual(fused1.counters, r.counters);
+    const bool counters_ok = fused1.counters == r.counters;
     const bool content_ok = fused1.content_checksum == r.content_checksum;
     deterministic = deterministic && counters_ok && content_ok;
     std::printf("%-8d | %-10s | %s\n", workers,

@@ -83,6 +83,45 @@ struct AggKernelPlan {
 AggKernelPlan PlanAggKernel(const Table& input, ColumnSet grouping,
                             AggKernel preferred = AggKernel::kDenseArray);
 
+/// Row-at-a-time group keys in the multi-word layout: one code word per
+/// grouping column, then a null-mask word when any grouping column has
+/// NULLs (an empty grouping is one constant word). The sort and
+/// index-stream aggregations and the distinct-count statistics all key rows
+/// through it, so their group counts agree exactly with the hash kernels.
+class KeyBuilder {
+ public:
+  KeyBuilder(const Table& input, ColumnSet grouping) {
+    for (int ordinal : grouping.ToVector()) {
+      cols_.push_back(&input.column(ordinal));
+      if (cols_.back()->has_nulls()) track_nulls_ = true;
+    }
+    width_ = static_cast<int>(cols_.size()) + (track_nulls_ ? 1 : 0);
+    if (width_ == 0) width_ = 1;  // empty grouping set: constant key
+  }
+
+  int width() const { return width_; }
+
+  /// Writes row `row`'s key into key[0, width()).
+  void FillKey(size_t row, uint64_t* key) const {
+    uint64_t null_mask = 0;
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      if (cols_[c]->IsNull(row)) {
+        null_mask |= 1ULL << c;
+        key[c] = 0;
+      } else {
+        key[c] = cols_[c]->CodeAt(row);
+      }
+    }
+    if (track_nulls_) key[cols_.size()] = null_mask;
+    if (cols_.empty()) key[0] = 0;
+  }
+
+ private:
+  std::vector<const Column*> cols_;
+  bool track_nulls_ = false;
+  int width_ = 0;
+};
+
 /// Builds group keys (or dense slots) for row blocks, column-major: per
 /// block, each grouping column is read through one Column::CodeBlock call
 /// (a single type switch), then packed/indexed in a tight per-column loop.

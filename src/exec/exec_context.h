@@ -159,6 +159,10 @@ struct WorkCounters {
     return *this;
   }
 
+  /// Field-by-field equality over every counter (the differential suites'
+  /// bit-identity check).
+  bool operator==(const WorkCounters&) const = default;
+
   /// Scalar "simulated time" in abstract work units: full-width scan bytes
   /// (as in the paper's cardinality cost model), cardinality-aware
   /// aggregation CPU, materialization writes charged double (write + later

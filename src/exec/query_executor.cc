@@ -63,9 +63,7 @@ class AggState {
     if (id == rep_rows_.size()) {
       rep_rows_.push_back(static_cast<uint32_t>(representative_row));
       counts_.push_back(0);
-      for (size_t a = 0; a < query_.aggregates.size(); ++a) {
-        acc_[a].push_back(InitAccum(query_.aggregates[a]));
-      }
+      for (std::vector<Accum>& a : acc_) a.emplace_back();
     }
   }
 
@@ -294,49 +292,12 @@ class AggState {
     bool seen = false;  // saw at least one non-NULL argument
   };
 
-  static Accum InitAccum(const AggregateSpec&) { return Accum{}; }
-
   const Table& input_;
   const GroupByQuery& query_;
   std::vector<uint32_t> rep_rows_;
   std::vector<uint64_t> counts_;
   // acc_[aggregate][group]; empty for COUNT(*)-only queries.
   std::vector<std::vector<Accum>> acc_;
-};
-
-/// Builds per-row group keys into `key` (width = #group cols + 1 null word
-/// when tracking nulls). Returns key width.
-class KeyBuilder {
- public:
-  KeyBuilder(const Table& input, ColumnSet grouping) {
-    for (int ordinal : grouping.ToVector()) {
-      cols_.push_back(&input.column(ordinal));
-      if (cols_.back()->has_nulls()) track_nulls_ = true;
-    }
-    width_ = static_cast<int>(cols_.size()) + (track_nulls_ ? 1 : 0);
-    if (width_ == 0) width_ = 1;  // empty grouping set: constant key
-  }
-
-  int width() const { return width_; }
-
-  void FillKey(size_t row, uint64_t* key) const {
-    uint64_t null_mask = 0;
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      if (cols_[c]->IsNull(row)) {
-        null_mask |= 1ULL << c;
-        key[c] = 0;
-      } else {
-        key[c] = cols_[c]->CodeAt(row);
-      }
-    }
-    if (track_nulls_) key[cols_.size()] = null_mask;
-    if (cols_.empty()) key[0] = 0;
-  }
-
- private:
-  std::vector<const Column*> cols_;
-  bool track_nulls_ = false;
-  int width_ = 0;
 };
 
 /// Full-width row access for ScanMode::kRowStore: reads every column of the
@@ -419,17 +380,6 @@ struct MorselLayout {
     return std::min(num_rows - MorselBegin(m), QueryExecutor::kMorselRows);
   }
 
-  /// Calls `fn(row)` for every row of `shard`, morsels in ascending order.
-  template <typename Fn>
-  void ForEachShardRow(int shard, Fn&& fn) const {
-    for (size_t m = static_cast<size_t>(shard); m < num_morsels;
-         m += static_cast<size_t>(shards)) {
-      const size_t begin = MorselBegin(m);
-      const size_t end = begin + MorselSize(m);
-      for (size_t row = begin; row < end; ++row) fn(row);
-    }
-  }
-
   /// Calls `fn(begin, count)` for consecutive row blocks of at most
   /// `block_rows` rows covering every row of `shard`, morsels in ascending
   /// order (blocks never straddle a morsel boundary).
@@ -459,6 +409,12 @@ struct ShardAgg {
                             : (dense != nullptr ? dense->size() : 0);
   }
   uint64_t probes() const { return table != nullptr ? table->probes() : 0; }
+  /// Realized bytes of the state and its group table: what MemoryMeter
+  /// charges for one build, merge or spill-replay result.
+  size_t bytes() const {
+    return state->ApproxBytes() + (table != nullptr ? table->ByteSize() : 0) +
+           (dense != nullptr ? dense->ByteSize() : 0);
+  }
 };
 
 /// Stable LSD radix sort of (key, ordinal) pairs by key, one byte per pass
@@ -490,6 +446,38 @@ void RadixSortByKey(std::vector<std::pair<uint64_t, uint32_t>>* v,
     std::swap(src, dst);
   }
   if (src != v) *v = std::move(*src);
+}
+
+/// The sort-runs fold, shared by the in-memory build and the spill replay
+/// so both produce the same segment. `order` holds (packed key, ordinal)
+/// pairs and rows[ordinal] the input row, ordinals ascending in shard scan
+/// order; `agg` has an empty group table and state. Two passes, no hash
+/// probing. Pass 1 sorts by (key, ordinal), so rows ascend within each
+/// equal key, then appends each distinct key once (AppendUnique: keys
+/// arrive ascending, so group ids are dense in key order and the table is a
+/// valid merge source) and scatters the group id back to its ordinal in
+/// `ids`. Pass 2 updates the accumulators in scan order, so
+/// aggregate-argument columns are read with the same locality as the hash
+/// kernels. Per-group update order is row-ascending either way, so results
+/// are bit-identical to a sorted-order fold.
+void FoldSortRuns(int total_bits,
+                  std::vector<std::pair<uint64_t, uint32_t>>* order,
+                  const std::vector<uint32_t>& rows, std::vector<uint32_t>* ids,
+                  ShardAgg* agg) {
+  RadixSortByKey(order, total_bits);
+  const std::vector<std::pair<uint64_t, uint32_t>>& sorted = *order;
+  ids->resize(sorted.size());
+  uint32_t id = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i == 0 || sorted[i].first != sorted[i - 1].first) {
+      id = agg->table->AppendUnique(&sorted[i].first);
+      agg->state->Touch(id, rows[sorted[i].second]);
+    }
+    (*ids)[sorted[i].second] = id;
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    agg->state->Update((*ids)[i], rows[i]);
+  }
 }
 
 /// Builds one shard of one query block-at-a-time: BlockKeyFiller produces
@@ -593,48 +581,20 @@ class ShardBuilder {
 
   ShardAgg Take() {
     if (plan_->kernel == AggKernel::kSortRuns) {
-      FinalizeSortRuns();
+      FoldSortRuns(plan_->total_bits, &sort_rows_, positions_, &sort_ids_,
+                   &agg_);
       ReportMemory();
     }
     return std::move(agg_);
   }
 
  private:
-  /// Sort-runs fold, two passes, no hash probing. Pass 1 sorts by
-  /// (key, ordinal) — ordinals ascend in shard scan order, so rows ascend
-  /// within each equal key — then appends each distinct key once
-  /// (AppendUnique: keys arrive ascending, so group ids are dense in key
-  /// order and the table is a valid merge source) and scatters the group id
-  /// back to its ordinal. Pass 2 updates the accumulators in shard scan
-  /// order, so aggregate-argument columns are read with the same locality
-  /// as the hash kernels. Per-group update order is row-ascending either
-  /// way, so results are bit-identical to a sorted-order fold.
-  void FinalizeSortRuns() {
-    RadixSortByKey(&sort_rows_, plan_->total_bits);
-    GroupHashTable& table = *agg_.table;
-    AggState& state = *agg_.state;
-    sort_ids_.resize(sort_rows_.size());
-    uint32_t id = 0;
-    for (size_t i = 0; i < sort_rows_.size(); ++i) {
-      if (i == 0 || sort_rows_[i].first != sort_rows_[i - 1].first) {
-        id = table.AppendUnique(&sort_rows_[i].first);
-        state.Touch(id, positions_[sort_rows_[i].second]);
-      }
-      sort_ids_[sort_rows_[i].second] = id;
-    }
-    for (size_t i = 0; i < positions_.size(); ++i) {
-      state.Update(sort_ids_[i], positions_[i]);
-    }
-  }
-
   void ReportMemory() {
     if (meter_ == nullptr) return;
-    size_t bytes =
-        agg_.state->ApproxBytes() +
+    const size_t bytes =
+        agg_.bytes() +
         sort_rows_.capacity() * sizeof(std::pair<uint64_t, uint32_t>) +
         (positions_.capacity() + sort_ids_.capacity()) * sizeof(uint32_t);
-    if (agg_.table != nullptr) bytes += agg_.table->ByteSize();
-    if (agg_.dense != nullptr) bytes += agg_.dense->ByteSize();
     meter_->Charge(static_cast<int64_t>(bytes) -
                    static_cast<int64_t>(reported_bytes_));
     reported_bytes_ = bytes;
@@ -693,12 +653,7 @@ void MergePartition(const Table& input, const GroupByQuery& query,
       merged.state->MergeGroup(dst, *shard.state, src);
     }
   }
-  if (meter != nullptr) {
-    size_t bytes = merged.state->ApproxBytes();
-    if (merged.table != nullptr) bytes += merged.table->ByteSize();
-    if (merged.dense != nullptr) bytes += merged.dense->ByteSize();
-    meter->Charge(static_cast<int64_t>(bytes));
-  }
+  if (meter != nullptr) meter->Charge(static_cast<int64_t>(merged.bytes()));
   *out = std::move(merged);
 }
 
@@ -796,16 +751,13 @@ void BuildSegment(const Table& input, const GroupByQuery& query,
       seg.state->Update(id, row);
     }
   } else if (kplan.kernel == AggKernel::kSortRuns) {
+    // Records sit in shard scan order, so the record index is the
+    // ordinal: the build's fold over this partition's records is
+    // bit-identical to the in-memory shard's fold filtered to it.
     seg.table = std::make_unique<GroupHashTable>(kplan.key_width, 64, simd);
-    // Same two-pass fold as ShardBuilder::FinalizeSortRuns. Records sit in
-    // shard scan order, so the record index is the ordinal: sort
-    // (key, ordinal), append each distinct key once (ascending), scatter
-    // ids, then update in record order — rows ascend within each key on
-    // both passes, so the segment is bit-identical to the in-memory shard's
-    // fold filtered to this partition.
     std::vector<std::pair<uint64_t, uint32_t>> order;
     std::vector<uint32_t> rows(nrec);
-    std::vector<uint32_t> ids(nrec);
+    std::vector<uint32_t> ids;
     order.reserve(nrec);
     for (size_t i = 0; i < nrec; ++i) {
       uint64_t key = 0;
@@ -813,18 +765,7 @@ void BuildSegment(const Table& input, const GroupByQuery& query,
       std::memcpy(&rows[i], data.data() + i * rec + 8, 4);
       order.emplace_back(key, static_cast<uint32_t>(i));
     }
-    RadixSortByKey(&order, kplan.total_bits);
-    uint32_t id = 0;
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (i == 0 || order[i].first != order[i - 1].first) {
-        id = seg.table->AppendUnique(&order[i].first);
-        seg.state->Touch(id, rows[order[i].second]);
-      }
-      ids[order[i].second] = id;
-    }
-    for (size_t i = 0; i < nrec; ++i) {
-      seg.state->Update(ids[i], rows[i]);
-    }
+    FoldSortRuns(kplan.total_bits, &order, rows, &ids, &seg);
   } else {
     const size_t kw = static_cast<size_t>(kplan.key_width);
     seg.table = std::make_unique<GroupHashTable>(kplan.key_width,
@@ -840,70 +781,98 @@ void BuildSegment(const Table& input, const GroupByQuery& query,
       seg.state->Update(id, row);
     }
   }
-  if (meter != nullptr) {
-    size_t bytes = seg.state->ApproxBytes();
-    if (seg.table != nullptr) bytes += seg.table->ByteSize();
-    if (seg.dense != nullptr) bytes += seg.dense->ByteSize();
-    meter->Charge(static_cast<int64_t>(bytes));
-  }
+  if (meter != nullptr) meter->Charge(static_cast<int64_t>(seg.bytes()));
   *out = std::move(seg);
 }
 
-/// Re-derives the exact payload of one (shard, partition) spill file from
+/// Spill pass 1's record encoder, also run by the recompute-partition rung
+/// so a re-derived file is byte-identical to the one it replaces. Per row
+/// block it forms the kernel's keys, each row's merge partition (the
+/// in-memory merge's partition function) and its record (SpillRecordBytes).
+class SpillEncoder {
+ public:
+  SpillEncoder(const AggKernelPlan& plan, SimdLevel simd)
+      : plan_(&plan),
+        filler_(plan, simd),
+        key_bytes_(SpillRecordBytes(plan) - 4),
+        partitions_(BlockKeyFiller::kBlockRows) {
+    // Row i's slot or key words sit at key_bytes_ * i in the fill buffer.
+    if (plan.kernel == AggKernel::kDenseArray) {
+      slots_.resize(BlockKeyFiller::kBlockRows);
+      record_keys_ = reinterpret_cast<const uint8_t*>(slots_.data());
+    } else {
+      keys_.resize(BlockKeyFiller::kBlockRows *
+                   static_cast<size_t>(plan.key_width));
+      record_keys_ = reinterpret_cast<const uint8_t*>(keys_.data());
+    }
+  }
+  SpillEncoder(const SpillEncoder&) = delete;
+  SpillEncoder& operator=(const SpillEncoder&) = delete;
+
+  /// Encodes rows [begin, begin+count); count <= BlockKeyFiller::kBlockRows.
+  /// Row begin+i is then addressed as `i` below.
+  void Encode(size_t begin, size_t count) {
+    constexpr int kParts = QueryExecutor::kMergePartitions;
+    begin_ = begin;
+    if (plan_->kernel == AggKernel::kDenseArray) {
+      filler_.FillDense(begin, count, slots_.data());
+      for (size_t i = 0; i < count; ++i) {
+        partitions_[i] = DenseGroupTable::PartitionOfSlot(
+            slots_[i], kParts, plan_->dense_capacity);
+      }
+      return;
+    }
+    if (plan_->kernel == AggKernel::kMultiWord) {
+      filler_.FillMultiWord(begin, count, keys_.data());
+    } else {
+      filler_.FillPacked(begin, count, keys_.data());
+    }
+    for (size_t i = 0; i < count; ++i) {
+      partitions_[i] = GroupHashTable::PartitionOfHash(
+          GroupHashTable::Hash(
+              keys_.data() + i * static_cast<size_t>(plan_->key_width),
+              plan_->key_width),
+          kParts);
+    }
+  }
+
+  int partition(size_t i) const { return partitions_[i]; }
+
+  /// Appends row i's record: its slot or key words, then the u32 row.
+  void Append(size_t i, std::vector<uint8_t>* buf) const {
+    const uint8_t* kp = record_keys_ + i * key_bytes_;
+    buf->insert(buf->end(), kp, kp + key_bytes_);
+    const uint32_t row = static_cast<uint32_t>(begin_ + i);
+    const uint8_t* rp = reinterpret_cast<const uint8_t*>(&row);
+    buf->insert(buf->end(), rp, rp + 4);
+  }
+
+ private:
+  const AggKernelPlan* plan_;
+  BlockKeyFiller filler_;
+  size_t key_bytes_;
+  size_t begin_ = 0;
+  std::vector<int> partitions_;
+  std::vector<uint64_t> keys_;   // hash kernels: count * key_width words
+  std::vector<uint32_t> slots_;  // dense kernel: count slots
+  const uint8_t* record_keys_ = nullptr;  // keys_ or slots_, as bytes
+};
+
+/// Re-derives the exact payload of (shard s, partition p)'s spill file from
 /// the still-resident input: the recompute-partition retry rung for a
-/// corrupt spill record. Runs the pass-1 encoding loop for one shard
-/// filtered to one partition, so the rebuilt bytes equal the damaged
-/// file's payload bit-for-bit (no touch-tracking: the scan-side counters
-/// were charged by the real pass 1).
-std::vector<uint8_t> RebuildShardPartition(const Table& input,
-                                           const AggKernelPlan& kplan,
+/// corrupt spill record. Encodes shard s and keeps partition p's records
+/// (no touch-tracking: the scan-side counters were charged by the real
+/// pass 1).
+std::vector<uint8_t> RebuildShardPartition(const AggKernelPlan& kplan,
                                            const MorselLayout& layout, int s,
                                            int p, SimdLevel simd) {
-  constexpr int kParts = QueryExecutor::kMergePartitions;
-  BlockKeyFiller filler(kplan, simd);
-  const bool dense = kplan.kernel == AggKernel::kDenseArray;
-  const size_t kw = static_cast<size_t>(kplan.key_width);
-  std::vector<uint64_t> keys;
-  std::vector<uint32_t> slots;
-  if (dense) {
-    slots.resize(BlockKeyFiller::kBlockRows);
-  } else {
-    keys.resize(BlockKeyFiller::kBlockRows * kw);
-  }
+  SpillEncoder encoder(kplan, simd);
   std::vector<uint8_t> buf;
   layout.ForEachShardBlock(
       s, BlockKeyFiller::kBlockRows, [&](size_t begin, size_t count) {
-        if (dense) {
-          filler.FillDense(begin, count, slots.data());
-          for (size_t i = 0; i < count; ++i) {
-            if (DenseGroupTable::PartitionOfSlot(slots[i], kParts,
-                                                 kplan.dense_capacity) != p) {
-              continue;
-            }
-            const uint32_t row = static_cast<uint32_t>(begin + i);
-            const uint8_t* sp = reinterpret_cast<const uint8_t*>(&slots[i]);
-            buf.insert(buf.end(), sp, sp + 4);
-            const uint8_t* rp = reinterpret_cast<const uint8_t*>(&row);
-            buf.insert(buf.end(), rp, rp + 4);
-          }
-        } else {
-          if (kplan.kernel == AggKernel::kMultiWord) {
-            filler.FillMultiWord(begin, count, keys.data());
-          } else {
-            filler.FillPacked(begin, count, keys.data());
-          }
-          for (size_t i = 0; i < count; ++i) {
-            const uint64_t* keyp = keys.data() + i * kw;
-            if (GroupHashTable::PartitionOfHash(
-                    GroupHashTable::Hash(keyp, kplan.key_width), kParts) != p) {
-              continue;
-            }
-            const uint8_t* kp = reinterpret_cast<const uint8_t*>(keyp);
-            buf.insert(buf.end(), kp, kp + kw * 8);
-            const uint32_t row = static_cast<uint32_t>(begin + i);
-            const uint8_t* rp = reinterpret_cast<const uint8_t*>(&row);
-            buf.insert(buf.end(), rp, rp + 4);
-          }
+        encoder.Encode(begin, count);
+        for (size_t i = 0; i < count; ++i) {
+          if (encoder.partition(i) == p) encoder.Append(i, &buf);
         }
       });
   return buf;
@@ -941,16 +910,7 @@ Result<TablePtr> RunHashSpill(const Table& input, const GroupByQuery& query,
   std::vector<uint64_t> shard_checksums(static_cast<size_t>(shards), 0);
   RunTasks(shards, parallelism, [&](int s) {
     Status& st = shard_status[static_cast<size_t>(s)];
-    BlockKeyFiller filler(kplan, simd);
-    const bool dense = kplan.kernel == AggKernel::kDenseArray;
-    const size_t kw = static_cast<size_t>(kplan.key_width);
-    std::vector<uint64_t> keys;
-    std::vector<uint32_t> slots;
-    if (dense) {
-      slots.resize(BlockKeyFiller::kBlockRows);
-    } else {
-      keys.resize(BlockKeyFiller::kBlockRows * kw);
-    }
+    SpillEncoder encoder(kplan, simd);
     std::vector<std::vector<uint8_t>> stage(kParts);
     RowToucher shard_toucher(input, touch);
     const auto flush = [&](int p) {
@@ -969,37 +929,12 @@ Result<TablePtr> RunHashSpill(const Table& input, const GroupByQuery& query,
           for (size_t r = begin; r < begin + count; ++r) {
             shard_toucher.Touch(r);
           }
-          if (dense) {
-            filler.FillDense(begin, count, slots.data());
-            for (size_t i = 0; i < count; ++i) {
-              const int p = DenseGroupTable::PartitionOfSlot(
-                  slots[i], kParts, kplan.dense_capacity);
-              std::vector<uint8_t>& buf = stage[static_cast<size_t>(p)];
-              const uint32_t row = static_cast<uint32_t>(begin + i);
-              const uint8_t* sp = reinterpret_cast<const uint8_t*>(&slots[i]);
-              buf.insert(buf.end(), sp, sp + 4);
-              const uint8_t* rp = reinterpret_cast<const uint8_t*>(&row);
-              buf.insert(buf.end(), rp, rp + 4);
-              if (buf.size() >= kFlushBytes) flush(p);
-            }
-          } else {
-            if (kplan.kernel == AggKernel::kMultiWord) {
-              filler.FillMultiWord(begin, count, keys.data());
-            } else {
-              filler.FillPacked(begin, count, keys.data());
-            }
-            for (size_t i = 0; i < count; ++i) {
-              const uint64_t* keyp = keys.data() + i * kw;
-              const int p = GroupHashTable::PartitionOfHash(
-                  GroupHashTable::Hash(keyp, kplan.key_width), kParts);
-              std::vector<uint8_t>& buf = stage[static_cast<size_t>(p)];
-              const uint8_t* kp = reinterpret_cast<const uint8_t*>(keyp);
-              buf.insert(buf.end(), kp, kp + kw * 8);
-              const uint32_t row = static_cast<uint32_t>(begin + i);
-              const uint8_t* rp = reinterpret_cast<const uint8_t*>(&row);
-              buf.insert(buf.end(), rp, rp + 4);
-              if (buf.size() >= kFlushBytes) flush(p);
-            }
+          encoder.Encode(begin, count);
+          for (size_t i = 0; i < count; ++i) {
+            const int p = encoder.partition(i);
+            std::vector<uint8_t>& buf = stage[static_cast<size_t>(p)];
+            encoder.Append(i, &buf);
+            if (buf.size() >= kFlushBytes) flush(p);
           }
         });
     if (st.ok() && (tok == nullptr || !tok->Fired())) {
@@ -1045,7 +980,7 @@ Result<TablePtr> RunHashSpill(const Table& input, const GroupByQuery& query,
         // Recompute-partition rung: the input is still resident, so the
         // damaged file's records can be re-derived bit-identically instead
         // of failing the query.
-        bytes = RebuildShardPartition(input, kplan, layout, s, p, simd);
+        bytes = RebuildShardPartition(kplan, layout, s, p, simd);
         seg_recoveries[static_cast<size_t>(s)] = 1;
       } else {
         seg_status[static_cast<size_t>(s)] = data.status();
@@ -1095,21 +1030,6 @@ Result<TablePtr> QueryExecutor::ExecuteGroupBy(const Table& input,
                                                const GroupByQuery& query,
                                                const std::string& output_name,
                                                AggStrategy strategy) {
-  try {
-    return ExecuteGroupByImpl(input, query, output_name, strategy);
-  } catch (const GroupIdSpaceExhausted& e) {
-    return Status::ResourceExhausted(e.what());
-  } catch (const SpillRequired& e) {
-    // Defensive: the impl restarts eligible trips on the spill path before
-    // they reach here; anything else surfaces with realized-vs-budgeted
-    // numbers.
-    return Status::ResourceExhausted(e.what());
-  }
-}
-
-Result<TablePtr> QueryExecutor::ExecuteGroupByImpl(
-    const Table& input, const GroupByQuery& query,
-    const std::string& output_name, AggStrategy strategy) {
   GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
   AggState state(input, query);
   GBMQO_RETURN_NOT_OK(state.Validate());
@@ -1130,10 +1050,16 @@ Result<TablePtr> QueryExecutor::ExecuteGroupByImpl(
   if (query.grouping.empty() && strategy == AggStrategy::kIndexStream) {
     strategy = AggStrategy::kHash;  // no index needed for a grand total
   }
+  if (strategy == AggStrategy::kHash) {
+    // A single hash group-by is a shared-scan batch of one.
+    Result<std::vector<TablePtr>> out =
+        RunHashBatch(input, {&query, 1}, {&output_name, 1}, /*shared=*/false);
+    if (!out.ok()) return out.status();
+    return std::move(out->front());
+  }
 
   KeyBuilder keys(input, query.grouping);
   const int kw = keys.width();
-  std::vector<uint64_t> key(static_cast<size_t>(kw));
   const size_t n = input.num_rows();
 
   WorkCounters& wc = ctx_->counters();
@@ -1148,199 +1074,83 @@ Result<TablePtr> QueryExecutor::ExecuteGroupByImpl(
         static_cast<uint64_t>(static_cast<double>(n) * input.AvgRowWidth({}));
   }
 
-  RowToucher toucher(input, scan_mode_ == ScanMode::kRowStore &&
-                                strategy == AggStrategy::kSort);
-
-  // Output parts: the hash path produces one part per merge partition (or
-  // one for the single-shard fast path); sort/index paths fill `state`.
-  std::vector<std::unique_ptr<AggState>> owned_parts;
-  std::vector<const AggState*> parts;
-
-  switch (strategy) {
-    case AggStrategy::kHash: {
-      const AggKernelPlan kplan = PlanAggKernel(
-          input, query.grouping,
-          forced_kernel_.value_or(AggKernel::kDenseArray));
-      const MorselLayout layout(n);
-      const bool touch = scan_mode_ == ScanMode::kRowStore;
-      const SimdLevel simd = simd_level();
-      // Out-of-core eligibility: multi-shard inputs only (a single-shard
-      // input's group state is bounded by one morsel's rows, below any
-      // useful budget, and its fast path emits first-touch order directly).
-      const bool spill_ok = spill_.enabled() && layout.shards > 1;
-      if (spill_ok && spill_.force) {
-        return RunHashSpill(input, query, output_name, kplan, layout, spill_,
-                            touch, parallelism_, simd, ctx_);
-      }
-      // The meter trips mid-build/mid-merge when the realized group-table
-      // bytes pass the budget; the catch below restarts on the spill path.
-      // Bytes only grow, so whether a given input trips is independent of
-      // the worker interleaving.
-      MemoryMeter meter(spill_.memory_budget_bytes,
-                        spill_.memory_budget_bytes > 0 && layout.shards > 1);
-      try {
-        std::vector<ShardAgg> shards(static_cast<size_t>(layout.shards));
-        std::vector<uint64_t> shard_checksums(
-            static_cast<size_t>(layout.shards), 0);
-        const CancellationToken* tok = ctx_->cancellation();
-        const uint64_t salt = ctx_->fault_salt();
-        RunTasks(layout.shards, parallelism_, [&](int s) {
-          InjectAllocPressure(salt, static_cast<uint64_t>(s));
-          ShardBuilder builder(input, query, kplan, layout.ShardRows(s), simd,
-                               &meter);
-          RowToucher shard_toucher(input, touch);
-          layout.ForEachShardBlock(
-              s, BlockKeyFiller::kBlockRows, [&](size_t begin, size_t count) {
-                // Morsel-boundary cancellation point: a fired token stops the
-                // scan early; the caller surfaces Cancelled before any output
-                // is built from the partial state.
-                if (tok != nullptr && tok->Fired()) return;
-                for (size_t r = begin; r < begin + count; ++r) {
-                  shard_toucher.Touch(r);
-                }
-                builder.Consume(begin, count);
-              });
-          shards[static_cast<size_t>(s)] = builder.Take();
-          shard_checksums[static_cast<size_t>(s)] = shard_toucher.checksum();
-        });
-        GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
-
-        uint64_t probes = 0;
-        size_t groups = 0;
-        for (const ShardAgg& shard : shards) probes += shard.probes();
-
-        if (layout.shards <= 1) {
-          // Single-shard fast path: the shard already holds the final groups
-          // in first-occurrence order — identical to serial aggregation.
-          if (!shards.empty()) {
-            groups = shards[0].groups();
-            owned_parts.push_back(std::move(shards[0].state));
-          }
-        } else {
-          size_t total_groups = 0;
-          for (const ShardAgg& shard : shards) total_groups += shard.groups();
-          std::vector<ShardAgg> merged(kMergePartitions);
-          RunTasks(kMergePartitions, parallelism_, [&](int p) {
-            InjectAllocPressure(salt, 4096 + static_cast<uint64_t>(p));
-            MergePartition(input, query, kplan, shards, total_groups, p,
-                           &merged[static_cast<size_t>(p)], simd, &meter);
-          });
-          GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
-          for (ShardAgg& part : merged) {
-            probes += part.probes();
-            groups += part.groups();
-            owned_parts.push_back(std::move(part.state));
-          }
-        }
-        // Checksum fold happens only once the whole aggregation has
-        // survived the budget: a tripped attempt charges nothing here, and
-        // the spill pass re-derives the full checksum from its own scan.
-        for (uint64_t c : shard_checksums) wc.scan_touch_checksum ^= c;
-        for (const auto& part : owned_parts) parts.push_back(part.get());
-
-        wc.hash_probes += probes;
-        ChargeKernel(&wc, kplan.kernel, n, groups);
-      } catch (const SpillRequired& e) {
-        if (!spill_ok) return Status::ResourceExhausted(e.what());
-        owned_parts.clear();
-        parts.clear();
-        return RunHashSpill(input, query, output_name, kplan, layout, spill_,
-                            touch, parallelism_, simd, ctx_);
-      }
-      break;
+  if (strategy == AggStrategy::kSort) {
+    // Materialize keys, sort row ids lexicographically, stream runs.
+    RowToucher toucher(input, scan_mode_ == ScanMode::kRowStore);
+    std::vector<uint64_t> all(n * static_cast<size_t>(kw));
+    for (size_t row = 0; row < n; ++row) {
+      if ((row & 0xFFFF) == 0) GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
+      toucher.Touch(row);
+      keys.FillKey(row, all.data() + row * static_cast<size_t>(kw));
     }
-    case AggStrategy::kSort: {
-      // Materialize keys, sort row ids lexicographically, stream runs.
-      std::vector<uint64_t> all(n * static_cast<size_t>(kw));
-      for (size_t row = 0; row < n; ++row) {
-        if ((row & 0xFFFF) == 0) GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
-        toucher.Touch(row);
-        keys.FillKey(row, all.data() + row * static_cast<size_t>(kw));
+    std::vector<uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const uint64_t* ka = all.data() + static_cast<size_t>(a) * kw;
+      const uint64_t* kb = all.data() + static_cast<size_t>(b) * kw;
+      return std::lexicographical_compare(ka, ka + kw, kb, kb + kw);
+    });
+    wc.rows_sorted += n;
+    uint32_t id = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t row = order[i];
+      if (i > 0) {
+        const uint64_t* prev =
+            all.data() + static_cast<size_t>(order[i - 1]) * kw;
+        const uint64_t* cur = all.data() + static_cast<size_t>(row) * kw;
+        if (!std::equal(prev, prev + kw, cur)) ++id;
       }
-      std::vector<uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        const uint64_t* ka = all.data() + static_cast<size_t>(a) * kw;
-        const uint64_t* kb = all.data() + static_cast<size_t>(b) * kw;
-        return std::lexicographical_compare(ka, ka + kw, kb, kb + kw);
-      });
-      wc.rows_sorted += n;
-      uint32_t id = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t row = order[i];
-        if (i > 0) {
-          const uint64_t* prev = all.data() + static_cast<size_t>(order[i - 1]) * kw;
-          const uint64_t* cur = all.data() + static_cast<size_t>(row) * kw;
-          if (!std::equal(prev, prev + kw, cur)) ++id;
-        }
-        state.Touch(id, row);
-        state.Update(id, row);
-      }
-      wc.agg_cpu_units += static_cast<double>(n);  // stream after sort
-      parts.push_back(&state);
-      break;
+      state.Touch(id, row);
+      state.Update(id, row);
     }
-    case AggStrategy::kIndexStream: {
-      const std::vector<uint32_t>& order = index->sorted_rows();
-      std::vector<uint64_t> prev(static_cast<size_t>(kw));
-      uint32_t id = 0;
-      bool first = true;
-      for (size_t i = 0; i < n; ++i) {
-        if ((i & 0xFFFF) == 0) GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
-        const size_t row = order[i];
-        keys.FillKey(row, key.data());
-        if (!first && !std::equal(key.begin(), key.end(), prev.begin())) ++id;
-        first = false;
-        prev = key;
-        state.Touch(id, row);
-        state.Update(id, row);
-      }
-      wc.agg_cpu_units += static_cast<double>(n);  // stream over index
-      parts.push_back(&state);
-      break;
+    wc.agg_cpu_units += static_cast<double>(n);  // stream after sort
+    wc.scan_touch_checksum ^= toucher.checksum();
+  } else {
+    const std::vector<uint32_t>& order = index->sorted_rows();
+    std::vector<uint64_t> key(static_cast<size_t>(kw));
+    std::vector<uint64_t> prev(static_cast<size_t>(kw));
+    uint32_t id = 0;
+    bool first = true;
+    for (size_t i = 0; i < n; ++i) {
+      if ((i & 0xFFFF) == 0) GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
+      const size_t row = order[i];
+      keys.FillKey(row, key.data());
+      if (!first && !std::equal(key.begin(), key.end(), prev.begin())) ++id;
+      first = false;
+      prev = key;
+      state.Touch(id, row);
+      state.Update(id, row);
     }
-    case AggStrategy::kAuto:
-      return Status::Internal("strategy not resolved");
+    wc.agg_cpu_units += static_cast<double>(n);  // stream over index
   }
 
-  size_t num_groups = 0;
-  for (const AggState* part : parts) num_groups += part->num_groups();
-  wc.rows_emitted += num_groups;
-  wc.scan_touch_checksum ^= toucher.checksum();
-  return AggState::BuildOutput(input, query, parts, output_name);
+  wc.rows_emitted += state.num_groups();
+  return AggState::BuildOutput(input, query, {&state}, output_name);
 }
 
 Result<std::vector<TablePtr>> QueryExecutor::ExecuteSharedScan(
-    const Table& input, const std::vector<GroupByQuery>& queries,
-    const std::vector<std::string>& output_names) {
-  try {
-    return ExecuteSharedScanImpl(input, queries, output_names);
-  } catch (const GroupIdSpaceExhausted& e) {
-    return Status::ResourceExhausted(e.what());
-  } catch (const SpillRequired& e) {
-    // Shared scans cannot spill — their shard state interleaves queries —
-    // so a tripped budget fails the fused batch with the realized and
-    // budgeted bytes; the plan-level retry ladder then splits it into
-    // per-query runs, which can.
-    return Status::ResourceExhausted(e.what());
-  }
-}
-
-Result<std::vector<TablePtr>> QueryExecutor::ExecuteSharedScanImpl(
     const Table& input, const std::vector<GroupByQuery>& queries,
     const std::vector<std::string>& output_names) {
   GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
   if (queries.size() != output_names.size()) {
     return Status::InvalidArgument("queries/output_names size mismatch");
   }
-  const size_t nq = queries.size();
   // An empty batch performs no scan, so it must charge none: the scan-side
-  // counters below are per shared pass, not per query.
-  if (nq == 0) return std::vector<TablePtr>{};
+  // counters are per shared pass, not per query.
+  if (queries.empty()) return std::vector<TablePtr>{};
+  for (const GroupByQuery& q : queries) {
+    GBMQO_RETURN_NOT_OK(AggState(input, q).Validate());
+  }
+  return RunHashBatch(input, queries, output_names, /*shared=*/true);
+}
+
+Result<std::vector<TablePtr>> QueryExecutor::RunHashBatch(
+    const Table& input, std::span<const GroupByQuery> queries,
+    std::span<const std::string> output_names, bool shared) {
+  const size_t nq = queries.size();
   std::vector<AggKernelPlan> kplans;
   kplans.reserve(nq);
   for (const GroupByQuery& q : queries) {
-    GBMQO_RETURN_NOT_OK(AggState(input, q).Validate());
     kplans.push_back(PlanAggKernel(
         input, q.grouping, forced_kernel_.value_or(AggKernel::kDenseArray)));
   }
@@ -1353,129 +1163,144 @@ Result<std::vector<TablePtr>> QueryExecutor::ExecuteSharedScanImpl(
   wc.bytes_scanned +=
       static_cast<uint64_t>(static_cast<double>(n) * input.AvgRowWidth({}));
 
-  // Build phase: one worker per shard; each shard scans its morsels once
-  // (one full-width touch per row — the shared scan) and pre-aggregates
-  // every query into shard-local state.
   const bool touch = scan_mode_ == ScanMode::kRowStore;
-  // Shared scans meter the fused batch's realized group-table bytes against
-  // the same budget as single queries but cannot spill (shard state
-  // interleaves queries): a trip throws SpillRequired through RunTasks to
-  // the public wrapper, which fails the batch so the plan layer can split
-  // it into spillable per-query runs.
-  MemoryMeter meter(spill_.memory_budget_bytes,
-                    spill_.memory_budget_bytes > 0 && layout.shards > 1);
-  // shard_aggs[shard][query]
-  std::vector<std::vector<ShardAgg>> shard_aggs(
-      static_cast<size_t>(layout.shards));
-  std::vector<uint64_t> shard_checksums(static_cast<size_t>(layout.shards), 0);
-  // Per-shard failure slots for the batch-read fault site: a failed shard
-  // records a Status instead of throwing, and the first non-OK one fails
-  // the whole shared pass after the build phase joins.
-  std::vector<Status> shard_status(static_cast<size_t>(layout.shards));
+  const SimdLevel simd = simd_level();
   const CancellationToken* tok = ctx_->cancellation();
   const uint64_t salt = ctx_->fault_salt();
-  const SimdLevel simd = simd_level();
-  RunTasks(layout.shards, parallelism_, [&](int s) {
-    if (GBMQO_INJECT_FAULT(FaultSite::kSharedScanBatch,
-                           FaultKey(salt, static_cast<uint64_t>(s)))) {
-      shard_status[static_cast<size_t>(s)] =
-          Status::Internal("injected shared-scan batch read failure");
-      return;
-    }
-    InjectAllocPressure(salt, static_cast<uint64_t>(s));
-    const size_t shard_rows = layout.ShardRows(s);
-    std::vector<ShardBuilder> builders;
-    builders.reserve(nq);
-    for (size_t qi = 0; qi < nq; ++qi) {
-      builders.emplace_back(input, queries[qi], kplans[qi], shard_rows, simd,
-                            &meter);
-    }
-    RowToucher shard_toucher(input, touch);
-    layout.ForEachShardBlock(
-        s, BlockKeyFiller::kBlockRows, [&](size_t begin, size_t count) {
-          // Morsel-boundary cancellation point (see ExecuteGroupBy).
-          if (tok != nullptr && tok->Fired()) return;
-          // One full-width touch per row (the shared scan), then every
-          // query consumes the same block.
-          for (size_t r = begin; r < begin + count; ++r) {
-            shard_toucher.Touch(r);
-          }
-          for (size_t qi = 0; qi < nq; ++qi) {
-            builders[qi].Consume(begin, count);
-          }
-        });
-    std::vector<ShardAgg>& aggs = shard_aggs[static_cast<size_t>(s)];
-    aggs.reserve(nq);
-    for (ShardBuilder& b : builders) aggs.push_back(b.Take());
-    shard_checksums[static_cast<size_t>(s)] = shard_toucher.checksum();
-  });
-  for (const Status& s : shard_status) GBMQO_RETURN_NOT_OK(s);
-  GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
-  for (uint64_t c : shard_checksums) wc.scan_touch_checksum ^= c;
-
-  // Merge phase: each (query, partition) pair is an independent task.
-  // per_query[qi] holds the output parts in partition order.
-  std::vector<std::vector<std::unique_ptr<AggState>>> per_query(nq);
-  std::vector<uint64_t> query_probes(nq, 0);
-  std::vector<size_t> query_groups(nq, 0);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    for (const auto& shard : shard_aggs) {
-      query_probes[qi] += shard[qi].probes();
-    }
-  }
-  if (layout.shards <= 1) {
-    // Single-shard fast path: shard 0 already holds each query's final
-    // groups in first-occurrence order.
-    for (size_t qi = 0; qi < nq; ++qi) {
-      if (!shard_aggs.empty()) {
-        query_groups[qi] = shard_aggs[0][qi].groups();
-        per_query[qi].push_back(std::move(shard_aggs[0][qi].state));
-      }
-    }
-  } else {
-    // Re-shape to shards-per-query for MergePartition.
-    std::vector<std::vector<ShardAgg>> by_query(nq);
-    std::vector<size_t> totals(nq, 0);
-    for (size_t qi = 0; qi < nq; ++qi) {
-      for (auto& shard : shard_aggs) {
-        totals[qi] += shard[qi].groups();
-        by_query[qi].push_back(std::move(shard[qi]));
-      }
-    }
-    std::vector<std::vector<ShardAgg>> merged(nq);
-    for (auto& v : merged) v.resize(kMergePartitions);
-    const int tasks = static_cast<int>(nq) * kMergePartitions;
-    RunTasks(tasks, parallelism_, [&](int t) {
-      InjectAllocPressure(salt, 4096 + static_cast<uint64_t>(t));
-      const size_t qi = static_cast<size_t>(t) / kMergePartitions;
-      const int p = t % kMergePartitions;
-      MergePartition(input, queries[qi], kplans[qi], by_query[qi], totals[qi],
-                     p, &merged[qi][static_cast<size_t>(p)], simd, &meter);
-    });
-    GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
-    for (size_t qi = 0; qi < nq; ++qi) {
-      for (ShardAgg& part : merged[qi]) {
-        query_probes[qi] += part.probes();
-        query_groups[qi] += part.groups();
-        per_query[qi].push_back(std::move(part.state));
-      }
-    }
-  }
-
-  std::vector<TablePtr> out;
-  out.reserve(nq);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    wc.hash_probes += query_probes[qi];
-    ChargeKernel(&wc, kplans[qi].kernel, n, query_groups[qi]);
-    wc.rows_emitted += query_groups[qi];
-    std::vector<const AggState*> parts;
-    for (const auto& part : per_query[qi]) parts.push_back(part.get());
+  // Out-of-core eligibility: single group-bys over multi-shard inputs. A
+  // shared scan's shard state interleaves its queries, so it cannot spill:
+  // a trip fails the batch with ResourceExhausted and the plan layer splits
+  // it into spillable per-query runs. A single-shard input's group state is
+  // bounded by one morsel's rows, below any useful budget, and its fast
+  // path emits first-touch order directly.
+  const bool spill_ok = !shared && spill_.enabled() && layout.shards > 1;
+  const auto run_spill = [&]() -> Result<std::vector<TablePtr>> {
     Result<TablePtr> t =
-        AggState::BuildOutput(input, queries[qi], parts, output_names[qi]);
+        RunHashSpill(input, queries[0], output_names[0], kplans[0], layout,
+                     spill_, touch, parallelism_, simd, ctx_);
     if (!t.ok()) return t.status();
-    out.push_back(std::move(t).ValueOrDie());
+    return std::vector<TablePtr>{std::move(t).ValueOrDie()};
+  };
+  // The meter trips mid-build/mid-merge when the realized group-table bytes
+  // of the whole batch pass the budget. Bytes only grow, so whether a given
+  // input trips is independent of the worker interleaving.
+  MemoryMeter meter(spill_.memory_budget_bytes,
+                    spill_.memory_budget_bytes > 0 && layout.shards > 1);
+  try {
+    if (spill_ok && spill_.force) return run_spill();
+    try {
+      // Build phase: one task per shard scans the shard's morsels once (one
+      // full-width touch per row — the shared scan) and pre-aggregates every
+      // query into shard-local state. aggs[query][shard].
+      std::vector<std::vector<ShardAgg>> aggs(nq);
+      for (std::vector<ShardAgg>& a : aggs) {
+        a.resize(static_cast<size_t>(layout.shards));
+      }
+      std::vector<uint64_t> shard_checksums(static_cast<size_t>(layout.shards),
+                                            0);
+      // Per-shard failure slots for the shared-scan batch-read fault site: a
+      // failed shard records a Status instead of throwing, and the first
+      // non-OK one fails the whole pass after the build phase joins.
+      std::vector<Status> shard_status(static_cast<size_t>(layout.shards));
+      RunTasks(layout.shards, parallelism_, [&](int s) {
+        if (shared &&
+            GBMQO_INJECT_FAULT(FaultSite::kSharedScanBatch,
+                               FaultKey(salt, static_cast<uint64_t>(s)))) {
+          shard_status[static_cast<size_t>(s)] =
+              Status::Internal("injected shared-scan batch read failure");
+          return;
+        }
+        InjectAllocPressure(salt, static_cast<uint64_t>(s));
+        const size_t shard_rows = layout.ShardRows(s);
+        std::vector<ShardBuilder> builders;
+        builders.reserve(nq);
+        for (size_t qi = 0; qi < nq; ++qi) {
+          builders.emplace_back(input, queries[qi], kplans[qi], shard_rows,
+                                simd, &meter);
+        }
+        RowToucher shard_toucher(input, touch);
+        layout.ForEachShardBlock(
+            s, BlockKeyFiller::kBlockRows, [&](size_t begin, size_t count) {
+              // Morsel-boundary cancellation point: a fired token stops the
+              // scan early; the caller surfaces Cancelled before any output
+              // is built from the partial state.
+              if (tok != nullptr && tok->Fired()) return;
+              for (size_t r = begin; r < begin + count; ++r) {
+                shard_toucher.Touch(r);
+              }
+              for (ShardBuilder& b : builders) b.Consume(begin, count);
+            });
+        for (size_t qi = 0; qi < nq; ++qi) {
+          aggs[qi][static_cast<size_t>(s)] = builders[qi].Take();
+        }
+        shard_checksums[static_cast<size_t>(s)] = shard_toucher.checksum();
+      });
+      for (const Status& st : shard_status) GBMQO_RETURN_NOT_OK(st);
+      GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
+
+      std::vector<uint64_t> probes(nq, 0);
+      for (size_t qi = 0; qi < nq; ++qi) {
+        for (const ShardAgg& shard : aggs[qi]) probes[qi] += shard.probes();
+      }
+      // Output parts per query, in partition order.
+      std::vector<std::vector<ShardAgg>> parts(nq);
+      if (layout.shards <= 1) {
+        // Single-shard fast path: the shard already holds each query's
+        // final groups in first-occurrence order — identical to serial
+        // aggregation.
+        parts = std::move(aggs);
+      } else {
+        // Merge phase: each (query, partition) pair is an independent task.
+        std::vector<size_t> totals(nq, 0);
+        for (size_t qi = 0; qi < nq; ++qi) {
+          for (const ShardAgg& shard : aggs[qi]) totals[qi] += shard.groups();
+          parts[qi].resize(kMergePartitions);
+        }
+        RunTasks(static_cast<int>(nq) * kMergePartitions, parallelism_,
+                 [&](int t) {
+                   InjectAllocPressure(salt, 4096 + static_cast<uint64_t>(t));
+                   const size_t qi = static_cast<size_t>(t) / kMergePartitions;
+                   const int p = t % kMergePartitions;
+                   MergePartition(input, queries[qi], kplans[qi], aggs[qi],
+                                  totals[qi], p,
+                                  &parts[qi][static_cast<size_t>(p)], simd,
+                                  &meter);
+                 });
+        GBMQO_RETURN_NOT_OK(ctx_->CheckCancelled());
+        for (size_t qi = 0; qi < nq; ++qi) {
+          for (const ShardAgg& part : parts[qi]) probes[qi] += part.probes();
+        }
+      }
+      // The checksum folds only once the whole aggregation has survived the
+      // budget: a tripped attempt charges nothing here, and the spill pass
+      // re-derives the full checksum from its own scan.
+      for (uint64_t c : shard_checksums) wc.scan_touch_checksum ^= c;
+
+      std::vector<TablePtr> out;
+      out.reserve(nq);
+      for (size_t qi = 0; qi < nq; ++qi) {
+        size_t groups = 0;
+        std::vector<const AggState*> states;
+        for (const ShardAgg& part : parts[qi]) {
+          groups += part.groups();
+          states.push_back(part.state.get());
+        }
+        wc.hash_probes += probes[qi];
+        ChargeKernel(&wc, kplans[qi].kernel, n, groups);
+        wc.rows_emitted += groups;
+        Result<TablePtr> t = AggState::BuildOutput(input, queries[qi], states,
+                                                   output_names[qi]);
+        if (!t.ok()) return t.status();
+        out.push_back(std::move(t).ValueOrDie());
+      }
+      return out;
+    } catch (const SpillRequired& e) {
+      if (!spill_ok) return Status::ResourceExhausted(e.what());
+    }
+    return run_spill();
+  } catch (const GroupIdSpaceExhausted& e) {
+    return Status::ResourceExhausted(e.what());
   }
-  return out;
 }
 
 }  // namespace gbmqo

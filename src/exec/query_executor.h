@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,11 +94,12 @@ enum class ScanMode {
 /// Executes group-by queries against in-memory tables, charging work to an
 /// ExecContext. Stateless apart from the context pointer; safe to reuse.
 ///
-/// Hash aggregation (single-query and shared-scan) is morsel-driven: the
-/// input is split into kMorselRows-row morsels, morsel i belongs to
-/// pre-aggregation shard i mod kBuildShards, and each shard is built into a
-/// thread-local group table before a partitioned merge in which each worker
-/// owns a disjoint key range. `parallelism` sets how many worker threads
+/// Hash aggregation runs one pipeline: a single hash group-by is a
+/// shared-scan batch of one. It is morsel-driven: the input is split into
+/// kMorselRows-row morsels, morsel i belongs to pre-aggregation shard
+/// i mod kBuildShards, and each shard is built into a thread-local group
+/// table per query before a partitioned merge in which each worker owns a
+/// disjoint (query, key range). `parallelism` sets how many worker threads
 /// execute that pipeline. The shard and partition counts are fixed
 /// (independent of `parallelism`), so every WorkCounters field — including
 /// measured hash probes and the scan-touch checksum — is bit-identical for
@@ -183,18 +185,17 @@ class QueryExecutor {
       const std::vector<std::string>& output_names);
 
  private:
-  /// Bodies of the two entry points. The public wrappers convert a
-  /// GroupIdSpaceExhausted thrown from any group table (including from a
-  /// joined morsel worker, rethrown by RunTasks) into
-  /// Status::ResourceExhausted, so uint32 group-id exhaustion surfaces as a
-  /// Status instead of wrapping ids silently.
-  Result<TablePtr> ExecuteGroupByImpl(const Table& input,
-                                      const GroupByQuery& query,
-                                      const std::string& output_name,
-                                      AggStrategy strategy);
-  Result<std::vector<TablePtr>> ExecuteSharedScanImpl(
-      const Table& input, const std::vector<GroupByQuery>& queries,
-      const std::vector<std::string>& output_names);
+  /// The one hash-aggregation pipeline (shard build -> partitioned merge ->
+  /// emit) behind both entry points, over validated queries. `shared`
+  /// marks an ExecuteSharedScan batch: it consults the shared-scan fault
+  /// site and never spills, whereas a single group-by restarts on the
+  /// spill path when the budget trips. A GroupIdSpaceExhausted thrown from
+  /// any group table (including from a joined morsel worker, rethrown by
+  /// RunTasks) surfaces as Status::ResourceExhausted instead of wrapping
+  /// ids silently.
+  Result<std::vector<TablePtr>> RunHashBatch(
+      const Table& input, std::span<const GroupByQuery> queries,
+      std::span<const std::string> output_names, bool shared);
 
   ExecContext* ctx_;
   ScanMode scan_mode_;

@@ -5,40 +5,18 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/agg_kernel.h"
 #include "exec/group_hash_table.h"
 
 namespace gbmqo {
 
-namespace {
-
-/// Fills the group key for `row` over `cols` into `key` (width =
-/// cols.size() + 1; last word is the null mask). Mirrors the executor's key
-/// semantics so counts agree exactly.
-void FillKey(const Table& table, const std::vector<int>& cols, size_t row,
-             uint64_t* key) {
-  uint64_t null_mask = 0;
-  for (size_t c = 0; c < cols.size(); ++c) {
-    const Column& col = table.column(cols[c]);
-    if (col.IsNull(row)) {
-      null_mask |= 1ULL << c;
-      key[c] = 0;
-    } else {
-      key[c] = col.CodeAt(row);
-    }
-  }
-  key[cols.size()] = null_mask;
-}
-
-}  // namespace
-
 uint64_t ExactDistinctCount(const Table& table, ColumnSet columns) {
   if (columns.empty()) return table.num_rows() > 0 ? 1 : 0;
-  const std::vector<int> cols = columns.ToVector();
-  const int kw = static_cast<int>(cols.size()) + 1;
-  GroupHashTable groups(kw, table.num_rows() / 8 + 16);
-  std::vector<uint64_t> key(static_cast<size_t>(kw));
+  const KeyBuilder keys(table, columns);
+  GroupHashTable groups(keys.width(), table.num_rows() / 8 + 16);
+  std::vector<uint64_t> key(static_cast<size_t>(keys.width()));
   for (size_t row = 0; row < table.num_rows(); ++row) {
-    FillKey(table, cols, row, key.data());
+    keys.FillKey(row, key.data());
     groups.FindOrInsert(key.data());
   }
   return groups.size();
@@ -49,13 +27,12 @@ uint64_t GeeEstimateFromSample(const Table& sample, ColumnSet columns,
   const uint64_t sample_size = sample.num_rows();
   if (sample_size == 0) return 0;
   if (columns.empty()) return total_rows > 0 ? 1 : 0;
-  const std::vector<int> cols = columns.ToVector();
-  const int kw = static_cast<int>(cols.size()) + 1;
-  GroupHashTable groups(kw, sample_size / 4 + 16);
+  const KeyBuilder keys(sample, columns);
+  GroupHashTable groups(keys.width(), sample_size / 4 + 16);
   std::vector<uint64_t> occurrences;  // per group id, sample frequency
-  std::vector<uint64_t> key(static_cast<size_t>(kw));
+  std::vector<uint64_t> key(static_cast<size_t>(keys.width()));
   for (size_t row = 0; row < sample_size; ++row) {
-    FillKey(sample, cols, row, key.data());
+    keys.FillKey(row, key.data());
     const uint32_t id = groups.FindOrInsert(key.data());
     if (id == occurrences.size()) occurrences.push_back(0);
     occurrences[id] += 1;

@@ -27,6 +27,7 @@
 #include "core/optimizer.h"
 #include "core/plan_executor.h"
 #include "cost/optimizer_cost_model.h"
+#include "counters_testing.h"
 #include "data/sales_gen.h"
 #include "data/tpch_gen.h"
 
@@ -172,28 +173,6 @@ RunOutcome Execute(Dataset* d, const LogicalPlan& plan,
   return out;
 }
 
-/// Bit-identical comparison — no tolerances, including the double field.
-void ExpectCountersIdentical(const WorkCounters& a, const WorkCounters& b,
-                             const std::string& what) {
-  EXPECT_EQ(a.rows_scanned, b.rows_scanned) << what;
-  EXPECT_EQ(a.bytes_scanned, b.bytes_scanned) << what;
-  EXPECT_EQ(a.rows_emitted, b.rows_emitted) << what;
-  EXPECT_EQ(a.bytes_materialized, b.bytes_materialized) << what;
-  EXPECT_EQ(a.hash_probes, b.hash_probes) << what;
-  EXPECT_EQ(a.rows_sorted, b.rows_sorted) << what;
-  EXPECT_EQ(a.queries_executed, b.queries_executed) << what;
-  EXPECT_EQ(a.agg_cpu_units, b.agg_cpu_units) << what;
-  EXPECT_EQ(a.dense_kernel_rows, b.dense_kernel_rows) << what;
-  EXPECT_EQ(a.packed_kernel_rows, b.packed_kernel_rows) << what;
-  EXPECT_EQ(a.multiword_kernel_rows, b.multiword_kernel_rows) << what;
-  EXPECT_EQ(a.sort_kernel_rows, b.sort_kernel_rows) << what;
-  EXPECT_EQ(a.queries_spilled, b.queries_spilled) << what;
-  EXPECT_EQ(a.spill_partitions, b.spill_partitions) << what;
-  EXPECT_EQ(a.spill_bytes_written, b.spill_bytes_written) << what;
-  EXPECT_EQ(a.spill_bytes_read, b.spill_bytes_read) << what;
-  EXPECT_EQ(a.scan_touch_checksum, b.scan_touch_checksum) << what;
-}
-
 void RunTrial(Dataset* d, uint64_t seed, ScanMode mode) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   Rng rng(seed);
@@ -226,7 +205,7 @@ void RunTrial(Dataset* d, uint64_t seed, ScanMode mode) {
     const RunOutcome parallel = Execute(d, *plan, requests, mode, 4);
     // Same plan, different thread count: results AND counters identical.
     EXPECT_EQ(serial.results, parallel.results) << name;
-    ExpectCountersIdentical(serial.counters, parallel.counters, name);
+    EXPECT_EQ(serial.counters, parallel.counters) << name;
     // Across plans: identical result tables (counters legitimately differ —
     // that difference is the whole point of GB-MQO).
     if (reference.empty()) {
@@ -257,7 +236,7 @@ void RunTrial(Dataset* d, uint64_t seed, ScanMode mode) {
         Execute(d, greedy->plan, requests, mode, 4, kernel);
     EXPECT_EQ(serial.results, reference);
     EXPECT_EQ(parallel.results, reference);
-    ExpectCountersIdentical(serial.counters, parallel.counters, what);
+    EXPECT_EQ(serial.counters, parallel.counters) << what;
 
     const RunOutcome scalar_serial = Execute(d, greedy->plan, requests, mode,
                                              1, kernel, /*force_scalar=*/true);
@@ -265,10 +244,10 @@ void RunTrial(Dataset* d, uint64_t seed, ScanMode mode) {
                                            kernel, /*force_scalar=*/true);
     EXPECT_EQ(scalar_serial.results, reference) << what << " scalar";
     EXPECT_EQ(scalar_wide.results, reference) << what << " scalar par8";
-    ExpectCountersIdentical(serial.counters, scalar_serial.counters,
-                            what + " simd-vs-scalar");
-    ExpectCountersIdentical(scalar_serial.counters, scalar_wide.counters,
-                            what + " scalar par1-vs-par8");
+    EXPECT_EQ(serial.counters, scalar_serial.counters)
+        << what << " simd-vs-scalar";
+    EXPECT_EQ(scalar_serial.counters, scalar_wide.counters)
+        << what << " scalar par1-vs-par8";
   }
 }
 

@@ -938,7 +938,9 @@ void RunKillRecoverTrial(uint64_t seed, CrashMode mode, int workers) {
     ASSERT_TRUE(victim.recovery_status().ok());
     for (; applied < crash_at; ++applied) {
       ASSERT_TRUE(victim.AppendBatch(batches[applied]).ok());
-      if (applied == checkpoint_at) ASSERT_TRUE(victim.Checkpoint().ok());
+      if (applied == checkpoint_at) {
+        ASSERT_TRUE(victim.Checkpoint().ok());
+      }
     }
     if (mode == CrashMode::kTornWalAppend && applied < num_batches) {
       FaultInjector inj(seed);

@@ -57,7 +57,9 @@ TEST(OptimizerTest, MergesCorrelatedColumns) {
   for (const PlanNode& sub : r->plan.subplans) {
     if (sub.columns == ColumnSet{2} && sub.is_leaf()) c_is_root_child = true;
     // No intermediate should include the near-unique column c.
-    if (!sub.is_leaf()) EXPECT_FALSE(sub.columns.Contains(2));
+    if (!sub.is_leaf()) {
+      EXPECT_FALSE(sub.columns.Contains(2));
+    }
   }
   EXPECT_TRUE(c_is_root_child);
 }

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "core/gbmqo.h"
 #include "cost/optimizer_cost_model.h"
+#include "counters_testing.h"
 #include "data/tpch_gen.h"
 
 namespace gbmqo {
@@ -114,32 +115,6 @@ TEST(ParallelExecutorTest, RepeatedRunsStayConsistent) {
 
 // ---- fusion x node-parallelism matrix --------------------------------------
 
-/// Field-by-field counter equality, including the XOR scan checksum and the
-/// double-valued CPU units (bit-identical, not approximately equal).
-void ExpectSameCounters(const WorkCounters& a, const WorkCounters& b) {
-  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
-  EXPECT_EQ(a.bytes_scanned, b.bytes_scanned);
-  EXPECT_EQ(a.rows_emitted, b.rows_emitted);
-  EXPECT_EQ(a.bytes_materialized, b.bytes_materialized);
-  EXPECT_EQ(a.hash_probes, b.hash_probes);
-  EXPECT_EQ(a.rows_sorted, b.rows_sorted);
-  EXPECT_EQ(a.queries_executed, b.queries_executed);
-  EXPECT_EQ(a.dense_kernel_rows, b.dense_kernel_rows);
-  EXPECT_EQ(a.packed_kernel_rows, b.packed_kernel_rows);
-  EXPECT_EQ(a.multiword_kernel_rows, b.multiword_kernel_rows);
-  EXPECT_EQ(a.sort_kernel_rows, b.sort_kernel_rows);
-  EXPECT_EQ(a.queries_spilled, b.queries_spilled);
-  EXPECT_EQ(a.spill_bytes_written, b.spill_bytes_written);
-  EXPECT_EQ(a.spill_bytes_read, b.spill_bytes_read);
-  EXPECT_EQ(a.spill_corrupt_recoveries, b.spill_corrupt_recoveries);
-  EXPECT_EQ(a.scan_touch_checksum, b.scan_touch_checksum);
-  EXPECT_EQ(a.agg_cpu_units, b.agg_cpu_units);
-  EXPECT_EQ(a.tasks_retried, b.tasks_retried);
-  EXPECT_EQ(a.tasks_degraded, b.tasks_degraded);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-}
-
 /// Cell-by-cell result equality: same tables, same row order, same values.
 void ExpectIdenticalResults(const ExecutionResult& a,
                             const ExecutionResult& b) {
@@ -207,7 +182,7 @@ TEST(FusionMatrixTest, FusionAndWorkersPreserveResultsAndCounters) {
       EXPECT_EQ(f.catalog.temp_bytes(), 0u);
       if (!fusion) {
         // Unfused cells match the baseline counters exactly.
-        ExpectSameCounters(baseline->counters, r->counters);
+        EXPECT_EQ(baseline->counters, r->counters);
       } else if (!fused_ref.has_value()) {
         // First fused cell becomes the fused reference: fewer scanned rows
         // than one scan per plan edge, same emitted rows.
@@ -216,7 +191,7 @@ TEST(FusionMatrixTest, FusionAndWorkersPreserveResultsAndCounters) {
         fused_ref = std::move(*r);
       } else {
         // Fused counters are bit-identical across worker counts.
-        ExpectSameCounters(fused_ref->counters, r->counters);
+        EXPECT_EQ(fused_ref->counters, r->counters);
       }
     }
   }

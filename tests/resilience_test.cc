@@ -26,6 +26,7 @@
 #include "api/session.h"
 #include "common/fault_injector.h"
 #include "core/gbmqo.h"
+#include "counters_testing.h"
 #include "data/tpch_gen.h"
 
 namespace gbmqo {
@@ -68,30 +69,6 @@ std::map<ColumnSet, std::vector<std::string>> CanonicalResults(
     out[cols] = std::move(rows);
   }
   return out;
-}
-
-/// Field-by-field counter equality, including the resilience counters.
-void ExpectSameCounters(const WorkCounters& a, const WorkCounters& b) {
-  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
-  EXPECT_EQ(a.bytes_scanned, b.bytes_scanned);
-  EXPECT_EQ(a.rows_emitted, b.rows_emitted);
-  EXPECT_EQ(a.bytes_materialized, b.bytes_materialized);
-  EXPECT_EQ(a.hash_probes, b.hash_probes);
-  EXPECT_EQ(a.rows_sorted, b.rows_sorted);
-  EXPECT_EQ(a.queries_executed, b.queries_executed);
-  EXPECT_EQ(a.dense_kernel_rows, b.dense_kernel_rows);
-  EXPECT_EQ(a.packed_kernel_rows, b.packed_kernel_rows);
-  EXPECT_EQ(a.multiword_kernel_rows, b.multiword_kernel_rows);
-  EXPECT_EQ(a.sort_kernel_rows, b.sort_kernel_rows);
-  EXPECT_EQ(a.queries_spilled, b.queries_spilled);
-  EXPECT_EQ(a.spill_bytes_written, b.spill_bytes_written);
-  EXPECT_EQ(a.spill_bytes_read, b.spill_bytes_read);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.scan_touch_checksum, b.scan_touch_checksum);
-  EXPECT_EQ(a.agg_cpu_units, b.agg_cpu_units);
-  EXPECT_EQ(a.tasks_retried, b.tasks_retried);
-  EXPECT_EQ(a.tasks_degraded, b.tasks_degraded);
 }
 
 /// Fan-out plan with fusable siblings at two levels (same shape as the
@@ -179,7 +156,7 @@ TEST(ResilienceDifferentialTest, RandomizedFaultTrialsMatchFaultFreeRun) {
     // run bit-identically, including the retry/degradation attribution.
     auto again = run();
     ASSERT_TRUE(again.ok()) << again.status().ToString();
-    ExpectSameCounters(r->counters, again->counters);
+    EXPECT_EQ(r->counters, again->counters);
     EXPECT_EQ(f.catalog.temp_bytes(), 0u);
   }
   // The fault rates are chosen so the 4-attempt budget recovers most
@@ -225,7 +202,7 @@ TEST(ResilienceDifferentialTest, RetryCountersIndependentOfWorkerCount) {
     SCOPED_TRACE("workers " + std::to_string(workers));
     auto r = run(seed, workers);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectSameCounters(one->counters, r->counters);
+    EXPECT_EQ(one->counters, r->counters);
     EXPECT_EQ(CanonicalResults(*one), CanonicalResults(*r));
     EXPECT_EQ(f.catalog.temp_bytes(), 0u);
   }
@@ -264,7 +241,7 @@ TEST(DegradationLadderTest, FusedTaskSplitsIntoPerQueryPasses) {
     if (!pinned.has_value()) {
       pinned = r->counters;
     } else {
-      ExpectSameCounters(*pinned, r->counters);
+      EXPECT_EQ(*pinned, r->counters);
     }
   }
 }

@@ -6,8 +6,10 @@
 // raw bits — because spill partitions coincide exactly with the in-memory
 // merge partitions and records replay in shard scan order (see DESIGN.md
 // "Out-of-core aggregation"). The suite drives seeded randomized
-// differentials across every forced kernel x {1, 4, 8} workers, the
-// budget-trip restart, the shared-scan refusal, StorageGovernor RAM/disk
+// differentials across every forced kernel x {1, 4, 8} workers x clean or
+// corrupt spill files, the budget-trip restart (row-store trips in the
+// build and in the merge phase included), the shared-scan refusal,
+// StorageGovernor RAM/disk
 // metering, spill-file cleanup after injected faults, and the Session-level
 // spill knobs.
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "api/session.h"
 #include "common/fault_injector.h"
 #include "common/rng.h"
+#include "counters_testing.h"
 #include "data/sales_gen.h"
 #include "exec/group_hash_table.h"
 #include "exec/query_executor.h"
@@ -130,10 +133,10 @@ struct SpillRun {
 };
 
 SpillRun RunGroupBy(const Table& t, const GroupByQuery& q, int parallelism,
-                    std::optional<AggKernel> kernel,
-                    const SpillOptions& spill) {
+                    std::optional<AggKernel> kernel, const SpillOptions& spill,
+                    ScanMode mode = ScanMode::kColumnar) {
   ExecContext ctx;
-  QueryExecutor exec(&ctx, ScanMode::kColumnar, parallelism);
+  QueryExecutor exec(&ctx, mode, parallelism);
   exec.set_forced_kernel(kernel);
   exec.set_spill(spill);
   auto r = exec.ExecuteGroupBy(t, q, "out", AggStrategy::kHash);
@@ -173,24 +176,46 @@ TEST(SpillDifferentialTest, ForcedSpillBitIdenticalAcrossKernelsAndThreads) {
       ASSERT_TRUE(mem.status.ok()) << mem.status.ToString();
       EXPECT_EQ(mem.counters.queries_spilled, 0u);
       for (int par : {1, 4, 8}) {
-        SCOPED_TRACE("par=" + std::to_string(par));
-        SpillOptions spill;
-        spill.force = true;
-        spill.directory = dir.str();
-        const SpillRun sp = RunGroupBy(*t, queries[qi], par, kernel, spill);
-        ASSERT_TRUE(sp.status.ok()) << sp.status.ToString();
-        ExpectBitIdentical(*mem.table, *sp.table, kname);
-        EXPECT_EQ(sp.counters.queries_spilled, 1u);
-        EXPECT_EQ(sp.counters.spill_partitions,
-                  static_cast<uint64_t>(QueryExecutor::kMergePartitions));
-        EXPECT_GT(sp.counters.spill_bytes_written, 0u);
-        EXPECT_EQ(sp.counters.spill_bytes_written,
-                  sp.counters.spill_bytes_read);
-        // Scan-side counters are charged once, not per pass.
-        EXPECT_EQ(sp.counters.rows_scanned, mem.counters.rows_scanned);
-        EXPECT_EQ(sp.counters.rows_emitted, mem.counters.rows_emitted);
-        EXPECT_EQ(sp.counters.scan_touch_checksum,
-                  mem.counters.scan_touch_checksum);
+        WorkCounters clean;
+        // corrupt: every spill frame fails its CRC on replay, so the
+        // recompute-partition rung re-encodes each file from the input.
+        for (bool corrupt : {false, true}) {
+          SCOPED_TRACE("par=" + std::to_string(par) +
+                       (corrupt ? " corrupt" : ""));
+          FaultInjector injector(17);
+          if (corrupt) injector.ArmProbability(FaultSite::kSpillCorrupt, 1.0);
+          ScopedFaultInjection scoped(&injector);
+          SpillOptions spill;
+          spill.force = true;
+          spill.directory = dir.str();
+          const SpillRun sp = RunGroupBy(*t, queries[qi], par, kernel, spill);
+          ASSERT_TRUE(sp.status.ok()) << sp.status.ToString();
+          ExpectBitIdentical(*mem.table, *sp.table, kname);
+          EXPECT_EQ(sp.counters.queries_spilled, 1u);
+          EXPECT_EQ(sp.counters.spill_partitions,
+                    static_cast<uint64_t>(QueryExecutor::kMergePartitions));
+          EXPECT_GT(sp.counters.spill_bytes_written, 0u);
+          EXPECT_EQ(sp.counters.spill_bytes_written,
+                    sp.counters.spill_bytes_read);
+          // Scan-side counters are charged once, not per pass.
+          EXPECT_EQ(sp.counters.rows_scanned, mem.counters.rows_scanned);
+          EXPECT_EQ(sp.counters.rows_emitted, mem.counters.rows_emitted);
+          EXPECT_EQ(sp.counters.scan_touch_checksum,
+                    mem.counters.scan_touch_checksum);
+          if (!corrupt) {
+            EXPECT_EQ(sp.counters.spill_corrupt_recoveries, 0u);
+            clean = sp.counters;
+            continue;
+          }
+          // Rebuilt records are byte-identical to the lost ones: apart from
+          // the recovery count, the run is indistinguishable from a clean
+          // one.
+          EXPECT_GT(injector.fires(FaultSite::kSpillCorrupt), 0u);
+          EXPECT_GT(sp.counters.spill_corrupt_recoveries, 0u);
+          WorkCounters repaired = sp.counters;
+          repaired.spill_corrupt_recoveries = 0;
+          EXPECT_EQ(repaired, clean);
+        }
       }
     }
   }
@@ -261,6 +286,70 @@ TEST(SpillTripTest, BudgetTripRestartsOnSpillPathBitIdentical) {
   ExpectBitIdentical(*mem.table, *fit.table, "under-budget");
   EXPECT_EQ(fit.counters.queries_spilled, 0u);
   EXPECT_EQ(fit.counters.spill_bytes_written, 0u);
+  EXPECT_EQ(dir.NumEntries(), 0u) << "leaked spill files";
+}
+
+TEST(SpillTripTest, RowStoreBuildAndMergeTripsMatchForcedSpill) {
+  // The row-store scan touch folds into scan_touch_checksum only once the
+  // in-memory attempt has survived the budget, so a trip in the build phase
+  // or in the merge phase restarts on the spill path with nothing charged
+  // twice: full counters and output equal a forced spill run's.
+  ScopedSpillDir dir("rowstore");
+  TablePtr t = SharedSpillTable();
+  GroupByQuery q{ColumnSet{1},
+                 {AggregateSpec::CountStar("cnt"), AggregateSpec::Sum(3, "s")}};
+  const uint64_t shards =
+      (t->num_rows() + QueryExecutor::kMorselRows - 1) /
+      QueryExecutor::kMorselRows;
+  ASSERT_GT(shards, 1u);
+  ASSERT_LE(shards, static_cast<uint64_t>(QueryExecutor::kBuildShards));
+  // One worker; `alloc_hits` counts the allocation fault site's arrivals,
+  // one per build shard then one per merge partition, so more than
+  // `shards` arrivals means the build survived and the merge began.
+  const auto run = [&](uint64_t budget, bool force, uint64_t* alloc_hits) {
+    FaultInjector injector(5);  // nothing armed: arrivals are only counted
+    ScopedFaultInjection scoped(&injector);
+    SpillOptions spill;
+    spill.memory_budget_bytes = budget;
+    spill.force = force;
+    spill.directory = dir.str();
+    SpillRun r = RunGroupBy(*t, q, 1, std::nullopt, spill, ScanMode::kRowStore);
+    *alloc_hits = injector.hits(FaultSite::kAllocPressure);
+    return r;
+  };
+  uint64_t hits = 0;
+  const SpillRun mem = run(0, false, &hits);
+  ASSERT_TRUE(mem.status.ok()) << mem.status.ToString();
+  const SpillRun forced = run(0, true, &hits);
+  ASSERT_TRUE(forced.status.ok()) << forced.status.ToString();
+  EXPECT_EQ(hits, 0u);
+  EXPECT_NE(forced.counters.scan_touch_checksum, 0u);
+  EXPECT_EQ(forced.counters.scan_touch_checksum,
+            mem.counters.scan_touch_checksum);
+  ExpectBitIdentical(*mem.table, *forced.table, "forced");
+
+  const SpillRun build_trip = run(1u << 20, false, &hits);
+  ASSERT_TRUE(build_trip.status.ok()) << build_trip.status.ToString();
+  EXPECT_LE(hits, shards) << "the 1 MiB budget must trip in the build";
+  EXPECT_EQ(build_trip.counters, forced.counters);
+  ExpectBitIdentical(*forced.table, *build_trip.table, "build trip");
+
+  // Bisect for a budget just above the build phase's bytes: the merge's
+  // partitions then push the total past it.
+  uint64_t lo = 1u << 20;  // trips in the build
+  uint64_t hi = 1u << 30;  // fits both phases
+  while (hi - lo > lo / 8) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    ASSERT_TRUE(run(mid, false, &hits).status.ok());
+    (hits > shards ? hi : lo) = mid;
+  }
+  const SpillRun merge_trip = run(hi, false, &hits);
+  ASSERT_TRUE(merge_trip.status.ok()) << merge_trip.status.ToString();
+  EXPECT_GT(hits, shards) << "budget " << hi << " must trip in the merge";
+  EXPECT_EQ(merge_trip.counters.queries_spilled, 1u)
+      << "budget " << hi << " must trip in the merge";
+  EXPECT_EQ(merge_trip.counters, forced.counters);
+  ExpectBitIdentical(*forced.table, *merge_trip.table, "merge trip");
   EXPECT_EQ(dir.NumEntries(), 0u) << "leaked spill files";
 }
 

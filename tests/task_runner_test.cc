@@ -83,7 +83,9 @@ TEST(RunTaskGraphTest, RunsEveryTaskAfterItsDependencies) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     std::vector<std::atomic<int>> done(n);
     RunTaskGraph(n, deps, workers, nullptr, [&](int i, int) {
-      if (i > 0) EXPECT_EQ(done[(i - 1) / 2].load(), 1) << "dep of " << i;
+      if (i > 0) {
+        EXPECT_EQ(done[(i - 1) / 2].load(), 1) << "dep of " << i;
+      }
       done[i].fetch_add(1);
     });
     for (int i = 0; i < n; ++i) EXPECT_EQ(done[i].load(), 1) << i;
